@@ -1,11 +1,13 @@
 #include "apps/state_store.h"
 
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
 #include "comm/coordinated.h"
 #include "core/layout.h"
 #include "snapshot/restore.h"
+#include "util/durable_file.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -157,10 +159,9 @@ StateStore::StateStore(const Config& cfg) : cfg_(cfg) {
         if (recovery_source_ != RecoverySource::kArchive &&
             triage == ContainerTriage::kInvalid) {
           const std::string damaged = path + ".damaged";
-          std::error_code ec;
-          std::filesystem::rename(path, damaged, ec);
-          CRPM_CHECK(!ec, "could not set aside damaged container %s: %s",
-                     path.c_str(), ec.message().c_str());
+          CRPM_CHECK(durable_file::move_file(path, damaged),
+                     "could not set aside damaged container %s: %s",
+                     path.c_str(), std::strerror(errno));
           CRPM_LOG_WARN(
               "container %s is not a valid container and no archive could "
               "rebuild it; preserved as %s, formatting fresh",

@@ -4,10 +4,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "nvm/cost_model.h"
+#include "util/durable_file.h"
 #include "util/logging.h"
 
 namespace crpm {
@@ -37,16 +37,6 @@ uint64_t fnv1a(const uint8_t* p, uint64_t n) {
   return h;
 }
 
-void full_write(int fd, const void* data, uint64_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  while (n > 0) {
-    ssize_t w = ::write(fd, p, n);
-    CRPM_CHECK(w > 0, "checkpoint write failed: %s", std::strerror(errno));
-    p += w;
-    n -= static_cast<uint64_t>(w);
-  }
-}
-
 void full_read(int fd, void* data, uint64_t n) {
   uint8_t* p = static_cast<uint8_t*>(data);
   while (n > 0) {
@@ -74,10 +64,6 @@ std::string FtiLike::committed_path() const {
   return dir_ + "/ckpt-" + std::to_string(rank_) + ".fti";
 }
 
-std::string FtiLike::staging_path() const {
-  return dir_ + "/ckpt-" + std::to_string(rank_) + ".fti.tmp";
-}
-
 void FtiLike::protect(int id, void* ptr, uint64_t bytes) {
   buffers_.push_back(Buffer{id, static_cast<uint8_t*>(ptr), bytes});
   chunk_hashes_.emplace_back();
@@ -89,17 +75,28 @@ uint64_t FtiLike::checkpoint_state_bytes() const {
   return total;
 }
 
-void FtiLike::write_full(int fd) {
-  FileHeader fh{kFtiMagic, epoch_ + 1, buffers_.size()};
-  full_write(fd, &fh, sizeof(fh));
-  bytes_written_ += sizeof(fh);
-  for (const Buffer& b : buffers_) {
-    BufferHeader bh{b.id, b.bytes};
-    full_write(fd, &bh, sizeof(bh));
-    full_write(fd, b.ptr, b.bytes);
-    charge_write(b.bytes);
-    bytes_written_ += sizeof(bh) + b.bytes;
-  }
+void FtiLike::write_full() {
+  // Atomic publish over the previous committed checkpoint.
+  std::string err;
+  const bool ok = durable_file::atomic_replace(
+      committed_path(),
+      [this](int fd) {
+        FileHeader fh{kFtiMagic, epoch_ + 1, buffers_.size()};
+        if (!durable_file::write_all(fd, &fh, sizeof(fh))) return false;
+        bytes_written_ += sizeof(fh);
+        for (const Buffer& b : buffers_) {
+          BufferHeader bh{b.id, b.bytes};
+          if (!durable_file::write_all(fd, &bh, sizeof(bh)) ||
+              !durable_file::write_all(fd, b.ptr, b.bytes)) {
+            return false;
+          }
+          charge_write(b.bytes);
+          bytes_written_ += sizeof(bh) + b.bytes;
+        }
+        return true;
+      },
+      &err);
+  CRPM_CHECK(ok, "checkpoint failed: %s", err.c_str());
 }
 
 void FtiLike::write_incremental() {
@@ -112,13 +109,7 @@ void FtiLike::write_incremental() {
   if (fd < 0) {
     // No base checkpoint yet: fall back to a full one and seed the hash
     // table so the next incremental pass only rewrites real changes.
-    fd = ::open(staging_path().c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    CRPM_CHECK(fd >= 0, "cannot create checkpoint: %s", std::strerror(errno));
-    write_full(fd);
-    CRPM_CHECK(::fsync(fd) == 0, "fsync failed");
-    ::close(fd);
-    CRPM_CHECK(::rename(staging_path().c_str(), path.c_str()) == 0,
-               "rename failed");
+    write_full();
     for (size_t i = 0; i < buffers_.size(); ++i) {
       const Buffer& b = buffers_[i];
       uint64_t chunks = (b.bytes + kChunk - 1) / kChunk;
@@ -157,7 +148,8 @@ void FtiLike::write_incremental() {
     FileHeader fh{kFtiMagic, epoch_ + 1, buffers_.size()};
     CRPM_CHECK(::pwrite(fd, &fh, sizeof(fh), 0) == sizeof(fh),
                "header pwrite failed");
-    CRPM_CHECK(::fsync(fd) == 0, "fsync failed");
+    CRPM_CHECK(durable_file::sync(fd), "checkpoint sync failed: %s",
+               std::strerror(errno));
     ::close(fd);
   }
 }
@@ -166,15 +158,7 @@ void FtiLike::checkpoint() {
   if (incremental_) {
     write_incremental();
   } else {
-    int fd =
-        ::open(staging_path().c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    CRPM_CHECK(fd >= 0, "cannot create checkpoint: %s", std::strerror(errno));
-    write_full(fd);
-    CRPM_CHECK(::fsync(fd) == 0, "fsync failed");
-    ::close(fd);
-    // Atomic publish: rename over the previous committed checkpoint.
-    CRPM_CHECK(::rename(staging_path().c_str(), committed_path().c_str()) == 0,
-               "rename failed: %s", std::strerror(errno));
+    write_full();
   }
   ++epoch_;
 }

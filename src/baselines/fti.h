@@ -2,8 +2,9 @@
 // al., SC'11 — Section 5.1, system 6; multilevel checkpointing disabled).
 //
 // The application registers ("protects") its state buffers; checkpoint()
-// serializes every protected buffer into a checkpoint file, fsyncs, and
-// atomically publishes it (rename). This is the full-checkpoint cost
+// serializes every protected buffer into a checkpoint file and atomically
+// publishes it (durable_file::atomic_replace: fdatasync, rename, directory
+// fsync). This is the full-checkpoint cost
 // structure Figure 8 compares against: every checkpoint writes the entire
 // protected state regardless of how little changed.
 //
@@ -56,9 +57,9 @@ class FtiLike {
   };
 
   std::string committed_path() const;
-  std::string staging_path() const;
 
-  void write_full(int fd);
+  // Writes every protected buffer into a fresh file and publishes it.
+  void write_full();
   void write_incremental();
 
   void charge_write(uint64_t bytes);

@@ -136,8 +136,9 @@ struct CrpmOptions {
   // flushed anyway (durable-ack latency bound for group commit).
   uint64_t archive_flush_deadline_us = 2000;
 
-  // Writeback engine draining the batch ring: "sync" (default), "threads",
-  // "uring", or "auto" (uring when available, else threads).
+  // Writeback draining the batch ring: "" or "sync" (write + fdatasync on
+  // the writer thread, the default) or "threads" (two worker threads).
+  // ArchiveWriter aborts on any other value.
   std::string archive_writeback;
 
   // Store a compressed base frame under <archive>.cold/ at every

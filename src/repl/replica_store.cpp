@@ -12,6 +12,7 @@
 #include "snapshot/format.h"
 #include "tier/coded.h"
 #include "tier/cold.h"
+#include "util/durable_file.h"
 #include "util/logging.h"
 
 namespace crpm::repl {
@@ -143,30 +144,27 @@ ReplicaStore::PeerFile* ReplicaStore::open_peer(int origin,
     }
   }
 
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    CRPM_LOG_WARN("replica store %s: open(%s) failed: %s", dir_.c_str(),
+  PeerFile pf;
+  bool ok = false;
+  if (reuse) {
+    pf.fd = ::open(path.c_str(), O_RDWR);
+    pf.end = truncate_to;
+    ok = pf.fd >= 0 &&
+         ::ftruncate(pf.fd, static_cast<off_t>(truncate_to)) == 0 &&
+         ::lseek(pf.fd, 0, SEEK_END) >= 0;
+  } else {
+    const snapshot::ArchiveHeader h =
+        snapshot::make_header(block_size, region_size, segment_size);
+    pf.fd = durable_file::create(path, O_RDWR | O_TRUNC);
+    pf.end = sizeof(h);
+    ok = pf.fd >= 0 && durable_file::write_all(pf.fd, &h, sizeof(h));
+  }
+  if (!ok) {
+    CRPM_LOG_WARN("replica store %s: opening %s failed: %s", dir_.c_str(),
                   path.c_str(), std::strerror(errno));
+    if (pf.fd >= 0) ::close(pf.fd);
     return nullptr;
   }
-  if (reuse) {
-    if (::ftruncate(fd, static_cast<off_t>(truncate_to)) != 0 ||
-        ::lseek(fd, 0, SEEK_END) < 0) {
-      ::close(fd);
-      return nullptr;
-    }
-  } else {
-    snapshot::ArchiveHeader h =
-        snapshot::make_header(block_size, region_size, segment_size);
-    if (::ftruncate(fd, 0) != 0 ||
-        ::write(fd, &h, sizeof(h)) != ssize_t(sizeof(h))) {
-      ::close(fd);
-      return nullptr;
-    }
-  }
-
-  PeerFile pf;
-  pf.fd = fd;
   pf.newest = newest;
   pf.block_size = block_size;
   pf.region_size = region_size;
@@ -195,18 +193,22 @@ AppendVerdict ReplicaStore::append(int origin, uint64_t epoch,
     return AppendVerdict::kGap;
   }
 
-  size_t done = 0;
-  while (done < len) {
-    ssize_t n = ::write(pf->fd, frame + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      CRPM_LOG_WARN("replica store %s: write for peer %d failed: %s",
-                    dir_.c_str(), origin, std::strerror(errno));
-      return AppendVerdict::kError;
+  if (!durable_file::write_all(pf->fd, frame, len) ||
+      (fsync && !durable_file::sync(pf->fd))) {
+    CRPM_LOG_WARN("replica store %s: append for peer %d failed: %s",
+                  dir_.c_str(), origin, std::strerror(errno));
+    // Fatal for this frame: cut the file back to its length before the
+    // append, so a retry appends at the old end and a restart never adopts
+    // bytes whose sync failed. If even the truncate fails, forget the peer
+    // file; the next append reopens and rescans it.
+    if (::ftruncate(pf->fd, static_cast<off_t>(pf->end)) != 0 ||
+        ::lseek(pf->fd, static_cast<off_t>(pf->end), SEEK_SET) < 0) {
+      ::close(pf->fd);
+      peers_.erase(origin);
     }
-    done += static_cast<size_t>(n);
+    return AppendVerdict::kError;
   }
-  if (fsync) ::fdatasync(pf->fd);
+  pf->end += len;
   pf->newest = epoch;
   ++frames_stored_;
   bytes_stored_ += len;
@@ -227,22 +229,8 @@ bool ReplicaStore::store_cold(int origin, uint64_t epoch,
       snapshot::make_header(block_size, region_size, segment_size);
   tier::ColdTier cold(tier::ColdTier::dir_for(peer_path(origin)));
   std::string err;
-  bool ok = cold.store(
-      epoch, &h, sizeof(h), frame, len,
-      [](int fd, const void* buf, size_t n) {
-        const auto* p = static_cast<const uint8_t*>(buf);
-        size_t done = 0;
-        while (done < n) {
-          ssize_t w = ::write(fd, p + done, n - done);
-          if (w < 0) {
-            if (errno == EINTR) continue;
-            return false;
-          }
-          done += static_cast<size_t>(w);
-        }
-        return true;
-      },
-      keep, &err);
+  bool ok = cold.store(epoch, &h, sizeof(h), frame, len,
+                       durable_file::write_all, keep, &err);
   if (!ok) {
     CRPM_LOG_WARN("replica store %s: cold store for peer %d epoch %llu "
                   "failed: %s",

@@ -6,9 +6,11 @@
 // replica never needs the origin's tier configuration): ArchiveReader
 // reads it, snapshot::restore() restores from it, and `crpm_inspect repl
 // status` audits it. Frames arrive over the transport already in archive
-// frame encoding; append() validates them and appends + fdatasyncs, so a
-// stored frame survives a replica crash exactly like a locally archived
-// one (same torn-tail argument).
+// frame encoding; append() validates them and appends + fdatasyncs through
+// util/durable_file, so a stored frame survives a replica crash exactly
+// like a locally archived one (same torn-tail argument). A failed write
+// or sync is never acknowledged: append() cuts the file back and returns
+// kError, and the sender's retry appends the frame again.
 //
 // Acceptance rules keep every stored chain restorable under a transport
 // that reorders and duplicates:
@@ -47,7 +49,9 @@ class ReplicaStore {
   ReplicaStore(const ReplicaStore&) = delete;
   ReplicaStore& operator=(const ReplicaStore&) = delete;
 
-  // Appends one archive-encoded frame of `origin`'s epoch `epoch`.
+  // Appends one archive-encoded frame of `origin`'s epoch `epoch`. On a
+  // failed write or fdatasync returns kError with the file truncated back
+  // to its length before the append and newest_epoch() unchanged.
   // `block_size`/`region_size`/`segment_size` describe the origin
   // container's geometry (written into the per-peer archive header on
   // first contact and checked afterwards).
@@ -56,8 +60,8 @@ class ReplicaStore {
                        const uint8_t* frame, size_t len, bool fsync);
 
   // Persists a shipped cold-tier base (the writer's cold observer feed)
-  // under `peer_<origin>.crpmsnap.cold/` with the same tmp + fsync +
-  // atomic-rename protocol the origin uses locally. The frame must be a
+  // under `peer_<origin>.crpmsnap.cold/` with the same
+  // durable_file::atomic_replace the origin uses locally. The frame must be a
   // (possibly coded) base frame for `epoch`; `keep` bounds retained cold
   // bases (0 = keep all). Idempotent: re-storing an epoch atomically
   // replaces an identical file.
@@ -82,6 +86,7 @@ class ReplicaStore {
  private:
   struct PeerFile {
     int fd = -1;
+    uint64_t end = 0;  // file length: where the next frame is appended
     uint64_t newest = 0;
     uint64_t block_size = 0;
     uint64_t region_size = 0;

@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "snapshot/archive.h"
+#include "util/durable_file.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -60,7 +61,7 @@ void ReplNode::attach(Container& c, snapshot::ArchiveWriter& w) {
   block_size_ = c.geometry().block_size();
   region_size_ = c.geometry().main_region_size();
   segment_size_ = c.geometry().segment_size();
-  crpm_stats_ = &c.stats();
+  crpm_stats_.store(&c.stats(), std::memory_order_release);
   if (cfg_.local_archive.empty()) cfg_.local_archive = w.path();
   w.set_frame_observer(
       [this](uint64_t epoch, uint32_t kind, const uint8_t* frame,
@@ -103,7 +104,7 @@ void ReplNode::enqueue(Outgoing&& o) {
     });
     uint64_t ns = sw.elapsed_ns();
     st_stall_ns_.fetch_add(ns, std::memory_order_relaxed);
-    if (crpm_stats_ != nullptr) crpm_stats_->add_repl_stall_ns(ns);
+    if (CrpmStats* st = stats_sink()) st->add_repl_stall_ns(ns);
   }
   if (stop_.load(std::memory_order_acquire)) return;
   o.seq = ++next_seq_;
@@ -140,7 +141,7 @@ void ReplNode::sender() {
         if (cfg_.max_attempts != 0 && p.attempts >= cfg_.max_attempts) {
           p.given_up = true;
           st_given_up_.fetch_add(1, std::memory_order_relaxed);
-          if (crpm_stats_ != nullptr) crpm_stats_->add_repl_frame_dropped();
+          if (CrpmStats* st = stats_sink()) st->add_repl_frame_dropped();
           CRPM_LOG_WARN(
               "repl rank %d: giving up on epoch %llu -> rank %d after %u "
               "attempts",
@@ -161,10 +162,10 @@ void ReplNode::sender() {
         st_bytes_.fetch_add(o.bytes.size(), std::memory_order_relaxed);
         if (p.attempts > 1) {
           st_retries_.fetch_add(1, std::memory_order_relaxed);
-          if (crpm_stats_ != nullptr) crpm_stats_->add_repl_retry();
+          if (CrpmStats* st = stats_sink()) st->add_repl_retry();
         }
-        if (crpm_stats_ != nullptr) {
-          crpm_stats_->add_repl_frame_sent(o.bytes.size());
+        if (CrpmStats* st = stats_sink()) {
+          st->add_repl_frame_sent(o.bytes.size());
         }
         p.backoff_us = p.backoff_us == 0
                            ? cfg_.ack_timeout_us
@@ -275,7 +276,7 @@ void ReplNode::handle_frame(const ReplMsgHeader& h, const uint8_t* body,
   switch (v) {
     case AppendVerdict::kStored:
       st_stored_.fetch_add(1, std::memory_order_relaxed);
-      if (crpm_stats_ != nullptr) crpm_stats_->add_repl_frame_stored();
+      if (CrpmStats* st = stats_sink()) st->add_repl_frame_stored();
       break;
     case AppendVerdict::kStale:
       st_stale_.fetch_add(1, std::memory_order_relaxed);
@@ -351,7 +352,7 @@ void ReplNode::handle_ack(const ReplMsgHeader& h, int src) {
   }
   if (newly) {
     st_acked_.fetch_add(1, std::memory_order_relaxed);
-    if (crpm_stats_ != nullptr) crpm_stats_->add_repl_frame_acked();
+    if (CrpmStats* st = stats_sink()) st->add_repl_frame_acked();
     cv_send_.notify_one();  // completed frames unblock space/flush waiters
   }
 }
@@ -554,31 +555,27 @@ bool ReplNode::pull(int partner, int origin, uint64_t epoch,
 
   // Materialize the pulled chain as a local archive file; every frame is
   // CRC-verified again by the ArchiveReader that restores from it.
-  std::string tmp = dest_path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    pending_ = PendingReq{};
-    if (err != nullptr) *err = "cannot write " + tmp;
-    return false;
-  }
-  snapshot::ArchiveHeader ah = snapshot::make_header(
+  const snapshot::ArchiveHeader ah = snapshot::make_header(
       pending_.block_size, pending_.region_size, pending_.segment_size);
-  bool wok = std::fwrite(&ah, 1, sizeof(ah), f) == sizeof(ah);
-  for (const auto& [idx, bytes] : pending_.frames) {
-    (void)idx;
-    wok = wok && std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-                     bytes.size();
-  }
-  wok = std::fflush(f) == 0 && wok;
-  ::fdatasync(::fileno(f));
-  std::fclose(f);
+  const auto frames = std::move(pending_.frames);
   pending_ = PendingReq{};
   lk.unlock();
-  if (!wok || std::rename(tmp.c_str(), dest_path.c_str()) != 0) {
-    if (err != nullptr) *err = "writing pulled archive failed";
-    return false;
-  }
-  return true;
+  std::string werr;
+  const bool ok = durable_file::atomic_replace(
+      dest_path,
+      [&](int fd) {
+        if (!durable_file::write_all(fd, &ah, sizeof(ah))) return false;
+        for (const auto& [idx, bytes] : frames) {
+          (void)idx;
+          if (!durable_file::write_all(fd, bytes.data(), bytes.size())) {
+            return false;
+          }
+        }
+        return true;
+      },
+      &werr);
+  if (!ok && err != nullptr) *err = "writing pulled archive failed: " + werr;
+  return ok;
 }
 
 ReplNodeStats ReplNode::stats() const {

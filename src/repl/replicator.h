@@ -132,7 +132,9 @@ class ReplNode {
   // timeout (partner unreachable).
   bool query_newest(int partner, int origin, uint64_t* newest);
   // Pulls every frame needed to restore (`origin`, `epoch`) from `partner`
-  // into a fresh archive file at `dest_path`.
+  // into a fresh archive file at `dest_path`, published with
+  // durable_file::atomic_replace. On failure returns false and leaves
+  // `dest_path` untouched and no `<dest_path>.tmp` behind.
   bool pull(int partner, int origin, uint64_t epoch,
             const std::string& dest_path, std::string* err);
 
@@ -208,7 +210,12 @@ class ReplNode {
   ReplConfig cfg_;
   std::vector<int> partners_;
   ReplicaStore store_;
-  CrpmStats* crpm_stats_ = nullptr;
+  // Set by attach() while the service thread may already be receiving
+  // partner frames; read through stats_sink().
+  std::atomic<CrpmStats*> crpm_stats_{nullptr};
+  CrpmStats* stats_sink() const {
+    return crpm_stats_.load(std::memory_order_acquire);
+  }
 
   // Frame geometry, fixed at attach (or first test enqueue).
   uint64_t block_size_ = 0;

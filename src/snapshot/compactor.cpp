@@ -1,11 +1,8 @@
 #include "snapshot/compactor.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
+
+#include "util/durable_file.h"
 
 namespace crpm::snapshot {
 
@@ -34,31 +31,17 @@ CompactionResult fold_to_base(
     payload.insert(payload.end(), p, p + block_size);
   }
 
-  const std::string tmp = path + ".compact";
-  int fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    r.error = std::string("open temp: ") + std::strerror(errno);
-    return r;
-  }
-
   std::vector<uint8_t> frame;
   serialize_frame(kBaseFrame, epoch, roots, blocks, payload.data(),
                   block_size, &frame);
-  bool ok = write_fn(fd, &header, sizeof(header)) &&
-            write_fn(fd, frame.data(), frame.size());
-  if (ok) ok = ::fdatasync(fd) == 0;
-  ::close(fd);
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    r.error = "temp write failed or aborted";
-    return r;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    r.error = std::string("rename: ") + std::strerror(errno);
-    return r;
-  }
-  r.ok = true;
+  r.ok = durable_file::atomic_replace(
+      path,
+      [&](int fd) {
+        return write_fn(fd, &header, sizeof(header)) &&
+               write_fn(fd, frame.data(), frame.size());
+      },
+      &r.error);
+  if (!r.ok) return r;
   r.bytes_written = sizeof(header) + frame.size();
   return r;
 }

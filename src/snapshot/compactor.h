@@ -1,9 +1,10 @@
 // Delta-chain compaction: fold an archive's history into one full base
 // snapshot.
 //
-// The fold writes a brand-new file `<path>.compact` containing the archive
+// The fold writes a brand-new file `<path>.tmp` containing the archive
 // header plus a single base frame (every non-zero block of the running
-// image at `epoch`), fsyncs it, and atomically renames it over the archive.
+// image at `epoch`) and publishes it over the archive
+// (durable_file::atomic_replace: fdatasync, rename, directory fsync).
 // Either the rename happens — and the archive is a one-frame chain that
 // every subsequent delta extends — or it doesn't, and the old delta chain
 // is untouched: compaction can never make previously restorable epochs

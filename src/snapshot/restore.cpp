@@ -1,14 +1,10 @@
 #include "snapshot/restore.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 #include "tier/cold.h"
-#include "util/logging.h"
+#include "util/durable_file.h"
 
 namespace crpm::snapshot {
 
@@ -20,26 +16,62 @@ void step(const char* name) {
   if (g_step_hook) g_step_hook(name);
 }
 
-uint32_t clamped_workers(const CrpmOptions& opt) {
-  return opt.restore_workers > kMaxRestoreWorkers ? kMaxRestoreWorkers
-                                                  : opt.restore_workers;
+// Restored containers are single-threaded and never re-archive the replay.
+CrpmOptions restore_options(const CrpmOptions& opt) {
+  CrpmOptions ropt = opt;
+  ropt.thread_count = 1;
+  ropt.archive_path.clear();
+  return ropt;
 }
 
-// fsync `path` (and optionally its byte contents via the fd) so a rename
-// that follows is durable in the right order.
-bool fsync_path(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
+bool region_matches(const CrpmOptions& ropt, uint64_t size, std::string* err) {
+  if (Geometry(ropt).main_region_size() == size) return true;
+  *err = "container options describe a " +
+         std::to_string(Geometry(ropt).main_region_size()) +
+         "-byte main region but the restored image holds " +
+         std::to_string(size) + " bytes";
+  return false;
 }
 
-std::string dirname_of(const std::string& path) {
-  auto slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
+// Formats the pristine container `c` from `image` + `roots`: the whole
+// image is one annotated store, then one checkpoint commits it as the
+// container's first epoch.
+bool format_from_image(Container& c, const uint8_t* image, uint64_t size,
+                       const std::array<uint64_t, kNumRoots>& roots,
+                       std::string* err) {
+  if (!c.was_fresh()) {
+    *err = "restore target device is not pristine";
+    return false;
+  }
+  c.annotate(c.data(), size);
+  std::memcpy(c.data(), image, size);
+  for (uint32_t s = 0; s < kNumRoots; ++s) c.set_root(s, roots[s]);
+  c.checkpoint();
+  return true;
+}
+
+// The one publish path of every restored container file: `tmp` holds a
+// closed, committed container. Make it durable, move it to
+// `container_path` (durable_file::publish), and reopen it there — a crash
+// anywhere before the rename leaves `container_path` untouched, so a
+// reattach never trusts a half-formatted restore target.
+RestoreResult publish_container(RestoreResult r, const std::string& tmp,
+                                const std::string& container_path,
+                                const CrpmOptions& ropt) {
+  step("restore.tmp");
+  std::string err;
+  if (!durable_file::publish(tmp, container_path, &err,
+                             [] { step("restore.synced"); })) {
+    r.error = "publishing restored container failed: " + err;
+    return r;
+  }
+  step("restore.renamed");
+  r.container = Container::open_file(container_path, ropt);
+  if (r.container->was_fresh()) {
+    r.container.reset();
+    r.error = "restored container failed to reattach after rename";
+  }
+  return r;
 }
 
 // Cold-tier fallback: serve `epoch` (or the newest cold base when asked
@@ -64,6 +96,51 @@ bool read_cold_state(const std::string& archive_path, uint64_t epoch,
   return false;
 }
 
+// Reads `epoch` (or the newest restorable one, for kLatestEpoch) from the
+// hot archive, falling back to the cold tier when the hot chain cannot
+// serve it. `chosen` gets the epoch read; `warnings` collects the scan's
+// notes. `err` is set only on failure.
+bool load_state(const std::string& archive_path, uint64_t epoch,
+                uint32_t workers, std::vector<uint8_t>* image,
+                std::array<uint64_t, kNumRoots>* roots, uint64_t* chosen,
+                std::vector<std::string>* warnings, RestorePerf* perf,
+                std::string* err) {
+  if (workers > kMaxRestoreWorkers) workers = kMaxRestoreWorkers;
+  std::string hot_error;
+  {
+    ArchiveReader reader(archive_path);
+    *warnings = reader.scan().warnings;
+    uint64_t target = epoch;
+    if (!reader.ok()) {
+      hot_error = "not a valid snapshot archive: " + archive_path;
+    } else if (target == Container::kLatestEpoch &&
+               !reader.latest_restorable(&target)) {
+      hot_error = "archive holds no restorable epoch";
+    } else if (reader.state_at(target, image, roots, &hot_error, workers,
+                               perf)) {
+      const auto& epochs = reader.scan().epochs;
+      if (epoch == Container::kLatestEpoch && epochs.back().epoch != target) {
+        warnings->push_back("newest archived epoch " +
+                            std::to_string(epochs.back().epoch) +
+                            " is not restorable; falling back to epoch " +
+                            std::to_string(target));
+      }
+      *chosen = target;
+      return true;
+    }
+  }
+  // The hot archive cannot serve this epoch (compaction folded it away, a
+  // corrupt chain, or the file is gone) — try the cold tier.
+  if (read_cold_state(archive_path, epoch, chosen, image, roots, workers,
+                      perf)) {
+    warnings->push_back("epoch " + std::to_string(*chosen) +
+                        " served from the cold tier");
+    return true;
+  }
+  if (err != nullptr) *err = hot_error;
+  return false;
+}
+
 RestoreResult restore_impl(const std::string& archive_path, uint64_t epoch,
                            NvmDevice* dev,
                            std::unique_ptr<NvmDevice> owned_dev,
@@ -71,80 +148,21 @@ RestoreResult restore_impl(const std::string& archive_path, uint64_t epoch,
   RestoreResult r;
   std::vector<uint8_t> image;
   std::array<uint64_t, kNumRoots> roots{};
-  uint64_t target = epoch;
-  bool loaded = false;
-  std::string hot_error;
-  const uint32_t workers = clamped_workers(opt);
-  {
-    ArchiveReader reader(archive_path);
-    r.warnings = reader.scan().warnings;
-    if (!reader.ok()) {
-      hot_error = "not a valid snapshot archive: " + archive_path;
-    } else {
-      bool have_target = true;
-      if (target == Container::kLatestEpoch) {
-        if (reader.latest_restorable(&target)) {
-          const auto& epochs = reader.scan().epochs;
-          if (!epochs.empty() && epochs.back().epoch != target) {
-            r.warnings.push_back(
-                "newest archived epoch " +
-                std::to_string(epochs.back().epoch) +
-                " is not restorable; falling back to epoch " +
-                std::to_string(target));
-          }
-        } else {
-          have_target = false;
-          target = Container::kLatestEpoch;  // let the cold tier pick
-          hot_error = "archive holds no restorable epoch";
-        }
-      }
-      if (have_target && reader.state_at(target, &image, &roots, &hot_error,
-                                         workers, &r.perf)) {
-        loaded = true;
-      }
-    }
-  }
-  if (!loaded) {
-    // The hot archive cannot serve this epoch (compaction folded it away,
-    // a corrupt chain, or the file is gone) — try the cold tier.
-    if (read_cold_state(archive_path, epoch, &target, &image, &roots,
-                        workers, &r.perf)) {
-      loaded = true;
-      r.warnings.push_back("epoch " + std::to_string(target) +
-                           " served from the cold tier");
-    }
-  }
-  if (!loaded) {
-    r.error = hot_error;
+  uint64_t target = 0;
+  if (!load_state(archive_path, epoch, opt.restore_workers, &image, &roots,
+                  &target, &r.warnings, &r.perf, &r.error)) {
     return r;
   }
   step("restore.image");
 
-  CrpmOptions ropt = opt;
-  ropt.thread_count = 1;       // restore is single-threaded
-  ropt.archive_path.clear();   // never re-archive the replay itself
-  if (Geometry(ropt).main_region_size() != image.size()) {
-    r.error = "container options describe a " +
-              std::to_string(Geometry(ropt).main_region_size()) +
-              "-byte main region but the archive holds " +
-              std::to_string(image.size()) + " bytes";
-    return r;
-  }
-
+  const CrpmOptions ropt = restore_options(opt);
+  if (!region_matches(ropt, image.size(), &r.error)) return r;
   std::unique_ptr<Container> c =
       owned_dev != nullptr ? Container::open(std::move(owned_dev), ropt)
                            : Container::open(dev, ropt);
-  if (!c->was_fresh()) {
-    r.error = "restore target device is not pristine";
+  if (!format_from_image(*c, image.data(), image.size(), roots, &r.error)) {
     return r;
   }
-  // The whole image is one annotated store: every non-zero byte of the
-  // archived state lands in the working state, then one checkpoint commits
-  // it as the restored container's first epoch.
-  c->annotate(c->data(), image.size());
-  std::memcpy(c->data(), image.data(), image.size());
-  for (uint32_t s = 0; s < kNumRoots; ++s) c->set_root(s, roots[s]);
-  c->checkpoint();
   step("restore.container");
 
   r.container = std::move(c);
@@ -168,16 +186,8 @@ RestoreResult build_container_file(
     const std::string& container_path, const CrpmOptions& opt) {
   RestoreResult r;
   r.epoch = epoch;
-  CrpmOptions ropt = opt;
-  ropt.thread_count = 1;
-  ropt.archive_path.clear();
-  if (Geometry(ropt).main_region_size() != size) {
-    r.error = "container options describe a " +
-              std::to_string(Geometry(ropt).main_region_size()) +
-              "-byte main region but the restored image holds " +
-              std::to_string(size) + " bytes";
-    return r;
-  }
+  const CrpmOptions ropt = restore_options(opt);
+  if (!region_matches(ropt, size, &r.error)) return r;
   const std::string tmp = container_path + ".restoring";
   std::remove(tmp.c_str());
   {
@@ -185,38 +195,12 @@ RestoreResult build_container_file(
         std::make_unique<FileNvmDevice>(tmp,
                                         Container::required_device_size(ropt)),
         ropt);
-    if (!c->was_fresh()) {
-      r.error = "restore target device is not pristine";
+    if (!format_from_image(*c, image, size, roots, &r.error)) {
       std::remove(tmp.c_str());
       return r;
     }
-    c->annotate(c->data(), size);
-    std::memcpy(c->data(), image, size);
-    for (uint32_t s = 0; s < kNumRoots; ++s) c->set_root(s, roots[s]);
-    c->checkpoint();
   }
-  step("restore.tmp");
-  if (!fsync_path(tmp)) {
-    r.error = "fsync of restored container failed: " +
-              std::string(std::strerror(errno));
-    std::remove(tmp.c_str());
-    return r;
-  }
-  step("restore.synced");
-  if (std::rename(tmp.c_str(), container_path.c_str()) != 0) {
-    r.error = "rename of restored container failed: " +
-              std::string(std::strerror(errno));
-    std::remove(tmp.c_str());
-    return r;
-  }
-  fsync_path(dirname_of(container_path));
-  step("restore.renamed");
-  r.container = Container::open_file(container_path, ropt);
-  if (r.container->was_fresh()) {
-    r.container.reset();
-    r.error = "restored container failed to reattach after rename";
-  }
-  return r;
+  return publish_container(std::move(r), tmp, container_path, ropt);
 }
 
 RestoreResult restore(const std::string& archive_path, uint64_t epoch,
@@ -233,82 +217,30 @@ RestoreResult restore(const std::string& archive_path, uint64_t epoch,
 RestoreResult restore_file(const std::string& archive_path, uint64_t epoch,
                            const std::string& container_path,
                            const CrpmOptions& opt) {
-  // Materialize into a side file first: a crash anywhere before the final
-  // rename leaves `container_path` untouched (old bytes or absent), so a
-  // reattach never trusts a half-formatted restore target.
   const std::string tmp = container_path + ".restoring";
   std::remove(tmp.c_str());
-  auto dev = std::make_unique<FileNvmDevice>(
-      tmp, Container::required_device_size(opt));
-  RestoreResult r = restore(archive_path, epoch, std::move(dev), opt);
+  RestoreResult r = restore(
+      archive_path, epoch,
+      std::make_unique<FileNvmDevice>(tmp,
+                                      Container::required_device_size(opt)),
+      opt);
   if (r.container == nullptr) {
     std::remove(tmp.c_str());
     return r;
   }
-  step("restore.tmp");
-  // Close the container so its mapping is flushed, then make the side
-  // file durable before renaming it into place (cold-tier discipline:
-  // fsync file, rename, fsync directory).
-  r.container.reset();
-  if (!fsync_path(tmp)) {
-    r.error = "fsync of restored container failed: " +
-              std::string(std::strerror(errno));
-    std::remove(tmp.c_str());
-    return r;
-  }
-  step("restore.synced");
-  if (std::rename(tmp.c_str(), container_path.c_str()) != 0) {
-    r.error = "rename of restored container failed: " +
-              std::string(std::strerror(errno));
-    std::remove(tmp.c_str());
-    return r;
-  }
-  fsync_path(dirname_of(container_path));
-  step("restore.renamed");
-
-  // Reopen at the final path with the same reduced options restore used,
-  // so callers still receive a live container.
-  CrpmOptions ropt = opt;
-  ropt.thread_count = 1;
-  ropt.archive_path.clear();
-  r.container = Container::open_file(container_path, ropt);
-  if (r.container->was_fresh()) {
-    r.container.reset();
-    r.error = "restored container failed to reattach after rename";
-  }
-  return r;
+  r.container.reset();  // unmaps the side file before it is published
+  return publish_container(std::move(r), tmp, container_path,
+                           restore_options(opt));
 }
 
 bool read_state(const std::string& archive_path, uint64_t epoch,
                 std::vector<uint8_t>* image,
                 std::array<uint64_t, kNumRoots>* roots, std::string* err,
                 uint32_t workers, RestorePerf* perf) {
-  if (workers > kMaxRestoreWorkers) workers = kMaxRestoreWorkers;
-  std::string hot_error;
-  {
-    ArchiveReader reader(archive_path);
-    if (!reader.ok()) {
-      hot_error = "not a valid snapshot archive: " + archive_path;
-    } else {
-      uint64_t target = epoch;
-      if (target == Container::kLatestEpoch &&
-          !reader.latest_restorable(&target)) {
-        hot_error = "archive holds no restorable epoch";
-      } else if (reader.state_at(target, image, roots, &hot_error, workers,
-                                 perf)) {
-        return true;
-      }
-    }
-  }
-  std::array<uint64_t, kNumRoots> cold_roots{};
   uint64_t chosen = 0;
-  if (read_cold_state(archive_path, epoch, &chosen, image,
-                      roots != nullptr ? roots : &cold_roots, workers,
-                      perf)) {
-    return true;
-  }
-  if (err) *err = hot_error;
-  return false;
+  std::vector<std::string> warnings;
+  return load_state(archive_path, epoch, workers, image, roots, &chosen,
+                    &warnings, perf, err);
 }
 
 }  // namespace crpm::snapshot

@@ -50,9 +50,10 @@ RestoreResult restore(const std::string& archive_path, uint64_t epoch,
 // Convenience: file-backed restored container at `container_path` (any
 // existing file is replaced). The restore is crash-atomic with respect to
 // `container_path`: the image is materialized into a side file
-// (`<container_path>.restoring`), synced, and renamed over the target, so
-// a crash mid-restore leaves either the old bytes or the fully restored
-// container — never a half-formatted file a reattach would trust.
+// (`<container_path>.restoring`) and published over the target
+// (durable_file::publish: fdatasync, rename, directory fsync), so a crash
+// mid-restore leaves either the old bytes or the fully restored container
+// — never a half-formatted file a reattach would trust.
 RestoreResult restore_file(const std::string& archive_path, uint64_t epoch,
                            const std::string& container_path,
                            const CrpmOptions& opt);
@@ -60,9 +61,9 @@ RestoreResult restore_file(const std::string& archive_path, uint64_t epoch,
 // Builds a crash-atomic container file at `container_path` from an
 // in-memory image + roots (the tail of restore_file, shared with
 // LazyRestorer::finish_file): format a fresh container on
-// `<container_path>.restoring`, commit the image as its first epoch, fsync,
-// rename into place, fsync the directory, and reopen. `epoch` only labels
-// the result.
+// `<container_path>.restoring`, commit the image as its first epoch,
+// publish it into place the same way, and reopen. `epoch` only labels the
+// result.
 RestoreResult build_container_file(const uint8_t* image, uint64_t size,
                                    const std::array<uint64_t, kNumRoots>& roots,
                                    uint64_t epoch,

@@ -17,6 +17,7 @@
 #include "snapshot/compactor.h"
 #include "tier/coded.h"
 #include "tier/cold.h"
+#include "util/durable_file.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -45,10 +46,13 @@ ArchiveWriter::ArchiveWriter(std::string path, SnapshotOptions sopt)
   if (sopt_.queue_depth == 0) sopt_.queue_depth = 1;
   if (sopt_.tier.group_epochs == 0) sopt_.tier.group_epochs = 1;
   if (sopt_.tier.group_bytes == 0) sopt_.tier.group_bytes = 1;
-  if (sopt_.tier.ring_depth == 0) sopt_.tier.ring_depth = 1;
-  engine_ = tier::WritebackEngine::create(sopt_.tier.writeback,
-                                          sopt_.tier.writeback_workers);
-  engine_->set_signal([this] {
+  const std::string& kind = sopt_.tier.writeback;
+  CRPM_CHECK(kind.empty() || kind == "sync" || kind == "threads",
+             "archive %s: unknown writeback '%s' (use \"sync\" or "
+             "\"threads\")",
+             path_.c_str(), kind.c_str());
+  writeback_ = std::make_unique<tier::Writeback>(kind == "threads");
+  writeback_->set_signal([this] {
     // A completion may have made the oldest inflight batch reapable.
     cv_work_.notify_all();
   });
@@ -157,31 +161,30 @@ void ArchiveWriter::init_file(uint64_t block_size, uint64_t region_size,
     }
   }
 
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
-  CRPM_CHECK(fd_ >= 0, "open(%s) failed: %s", path_.c_str(),
-             std::strerror(errno));
+  // A failed open, truncate, write or sync is fatal for the archive file:
+  // the writer goes failed() and drops every later epoch.
+  bool io_ok = false;
   if (reuse) {
-    if (truncate_to > 0) {
-      CRPM_CHECK(::ftruncate(fd_, static_cast<off_t>(truncate_to)) == 0,
-                 "ftruncate(%s) failed: %s", path_.c_str(),
-                 std::strerror(errno));
-      // Make the truncation durable before appending: without this, a
-      // crash after new appends could resurrect the dropped divergent
-      // frames *in front of* the new ones — an epoch-order violation the
-      // scanner would misread as a corrupt chain.
-      if (sopt_.fsync_each_epoch) ::fdatasync(fd_);
-    }
-    off_t end = ::lseek(fd_, 0, SEEK_END);
-    CRPM_CHECK(end >= 0, "lseek failed: %s", std::strerror(errno));
-    append_off_ = static_cast<uint64_t>(end);
+    fd_ = ::open(path_.c_str(), O_RDWR);
+    // Make the truncation durable before appending: without this, a crash
+    // after new appends could resurrect the dropped divergent frames *in
+    // front of* the new ones — an epoch-order violation the scanner would
+    // misread as a corrupt chain.
+    io_ok = fd_ >= 0 &&
+            ::ftruncate(fd_, static_cast<off_t>(truncate_to)) == 0 &&
+            (!sopt_.fsync_each_epoch || durable_file::sync(fd_));
+    append_off_ = truncate_to;
   } else {
-    CRPM_CHECK(::ftruncate(fd_, 0) == 0, "ftruncate(%s) failed: %s",
-               path_.c_str(), std::strerror(errno));
-    ArchiveHeader h = make_header(block_size, region_size, segment_size);
-    CRPM_CHECK(::write(fd_, &h, sizeof(h)) == ssize_t(sizeof(h)),
-               "writing archive header to %s failed", path_.c_str());
-    if (sopt_.fsync_each_epoch) ::fdatasync(fd_);
+    fd_ = durable_file::create(path_, O_RDWR | O_TRUNC);
+    const ArchiveHeader h = make_header(block_size, region_size, segment_size);
+    io_ok = fd_ >= 0 && durable_file::write_all(fd_, &h, sizeof(h)) &&
+            (!sopt_.fsync_each_epoch || durable_file::sync(fd_));
     append_off_ = sizeof(ArchiveHeader);
+  }
+  if (!io_ok) {
+    CRPM_LOG_WARN("archive %s: opening failed: %s — archiving disabled",
+                  path_.c_str(), std::strerror(errno));
+    dead_.store(true, std::memory_order_release);
   }
   if (sopt_.compact_every != 0 && shadow_.empty()) {
     shadow_.assign(region_size_, 0);
@@ -325,7 +328,7 @@ void ArchiveWriter::worker() {
       if (!inflight_.empty()) {
         if (flush_now_) return true;
         if (opportunistic_reap_allowed() &&
-            engine_->done(inflight_.front().ticket)) {
+            writeback_->done(inflight_.front().ticket)) {
           return true;
         }
       }
@@ -338,7 +341,7 @@ void ArchiveWriter::worker() {
     if (!inflight_.empty() &&
         (flush_now_ || stop_ ||
          (opportunistic_reap_allowed() &&
-          engine_->done(inflight_.front().ticket)))) {
+          writeback_->done(inflight_.front().ticket)))) {
       reap_inflight(lk, /*all=*/flush_now_ || stop_);
     }
     if (compact_pending_) {
@@ -404,7 +407,7 @@ void ArchiveWriter::worker() {
       // The ring bound: block on the oldest completion once too many
       // batches are in flight. This is a forced reap point, deterministic
       // whether or not completions already landed.
-      while (inflight_.size() > sopt_.tier.ring_depth) reap_one(lk);
+      while (inflight_.size() > kRingDepth) reap_one(lk);
     } else {
       // Dropped before submission (dead or hook veto): recycle the frames.
       for (auto& f : b.frames) {
@@ -422,7 +425,7 @@ void ArchiveWriter::reap_one(std::unique_lock<std::mutex>& lk) {
   const bool was_busy = busy_;
   busy_ = true;  // the batch left inflight_ but is not yet accounted
   lk.unlock();
-  bool io_ok = engine_->wait(b.ticket);
+  bool io_ok = writeback_->wait(b.ticket);
   finish_batch(b, io_ok);
   lk.lock();
   busy_ = was_busy;
@@ -434,7 +437,7 @@ void ArchiveWriter::reap_one(std::unique_lock<std::mutex>& lk) {
 void ArchiveWriter::reap_inflight(std::unique_lock<std::mutex>& lk,
                                   bool all) {
   while (!inflight_.empty() &&
-         (all || engine_->done(inflight_.front().ticket))) {
+         (all || writeback_->done(inflight_.front().ticket))) {
     reap_one(lk);
   }
   cv_idle_.notify_all();
@@ -515,8 +518,7 @@ void ArchiveWriter::submit_batch(Batch& b) {
     iov.push_back(iovec{buf.data(), n});
     left -= n;
   }
-  b.ticket =
-      engine_->submit(fd_, append_off_, std::move(iov), allowed, want_sync);
+  b.ticket = writeback_->submit(fd_, append_off_, std::move(iov), want_sync);
   b.synced = want_sync;
   append_off_ += allowed;
 }
@@ -704,19 +706,12 @@ bool ArchiveWriter::raw_write(int fd, const void* buf, size_t len) {
   uint64_t budget = write_budget_.load(std::memory_order_acquire);
   size_t allowed = len;
   if (budget < len) allowed = static_cast<size_t>(budget);
-  const auto* p = static_cast<const uint8_t*>(buf);
-  size_t done = 0;
-  while (done < allowed) {
-    ssize_t n = ::write(fd, p + done, allowed - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      CRPM_LOG_WARN("archive %s: write failed: %s — archiving disabled",
-                    path_.c_str(), std::strerror(errno));
-      dead_.store(true, std::memory_order_release);
-      cv_space_.notify_all();
-      return false;
-    }
-    done += static_cast<size_t>(n);
+  if (!durable_file::write_all(fd, buf, allowed)) {
+    CRPM_LOG_WARN("archive %s: write failed: %s — archiving disabled",
+                  path_.c_str(), std::strerror(errno));
+    dead_.store(true, std::memory_order_release);
+    cv_space_.notify_all();
+    return false;
   }
   if (budget != ~uint64_t{0}) {
     write_budget_.store(budget - allowed, std::memory_order_release);
@@ -843,8 +838,12 @@ void ArchiveWriter::compact(uint64_t epoch,
       });
   io_site_ = "archive.frame";
   if (!r.ok) {
-    CRPM_LOG_WARN("archive %s: compaction failed (%s); keeping delta chain",
+    // A failed fold is fatal for the archive: past its rename (a failed
+    // directory sync) fd_ no longer names the file at path_.
+    CRPM_LOG_WARN("archive %s: compaction failed (%s) — archiving disabled",
                   path_.c_str(), r.error.c_str());
+    dead_.store(true, std::memory_order_release);
+    cv_space_.notify_all();
     return;
   }
   // Switch appends over to the compacted file. Batches are written at

@@ -21,20 +21,24 @@
 // a group-commit batch — one device write + one fdatasync per batch, cut
 // when the batch reaches group_epochs/group_bytes or the oldest pending
 // frame has waited flush_deadline_us (bounded durability latency).
-// Batches are handed to a writeback engine (sync inline, worker-pool
-// pwritev, or io_uring) as a bounded ring of in-flight jobs, so the
+// Batches are handed to tier::Writeback ("sync" inline, or "threads": two
+// worker threads) as a bounded ring of kRingDepth in-flight jobs, so the
 // SCHED_IDLE writer thread keeps serializing while the device works;
 // completions are reaped in submission order, and a frame's stats and
 // FrameObserver fire only after its batch is durable.
 //
 // Compaction: after `compact_every` delta frames the writer folds its
 // running shadow image into a full base snapshot, written to a fresh file
-// that atomically replaces the archive (write + fsync + rename), and the
-// delta chain restarts from that base. With the cold tier enabled, the
+// that atomically replaces the archive (durable_file::atomic_replace), and
+// the delta chain restarts from that base. With the cold tier enabled, the
 // fold state is first stored as a codec-compressed base frame under
-// `<archive>.cold/` (tmp + fsync + rename), so epochs the fold retires
-// stay restorable — and optionally ships to a replica via the cold
-// observer.
+// `<archive>.cold/` the same way, so epochs the fold retires stay
+// restorable — and optionally ships to a replica via the cold observer.
+//
+// Every file write and sync goes through util/durable_file. A failed
+// write, sync or fold is fatal for the archive file: the writer goes
+// failed() and counts every later epoch as dropped; it never retries a
+// sync and then trusts the bytes.
 #pragma once
 
 #include <sys/types.h>
@@ -67,8 +71,11 @@ struct SnapshotOptions {
   // tier.group_epochs raises it). Off, durability of archived epochs lags
   // the OS page cache. Honored on every durability point — frame batches,
   // the fresh-archive header, and the attach-reconciliation truncate.
+  // Compaction and cold-tier files are always synced.
   bool fsync_each_epoch = true;
-  // Codec / group commit / writeback / cold tier (src/tier).
+  // Codec / group commit / writeback / cold tier (src/tier). The
+  // constructor aborts on a tier.writeback other than "", "sync" or
+  // "threads".
   tier::TierOptions tier;
 };
 
@@ -116,8 +123,8 @@ class ArchiveWriter final : public EpochSink {
   }
   bool failed() const { return dead_.load(std::memory_order_acquire); }
   const std::string& path() const { return path_; }
-  // The writeback engine actually in use ("sync", "threads", "uring").
-  const char* writeback_name() const { return engine_->name(); }
+  // The writeback in use: "sync" or "threads".
+  const char* writeback_name() const { return writeback_->name(); }
   ArchiveWriterStats writer_stats() const;
 
   // Test hook (crash simulation): allow only `budget` more bytes to reach
@@ -181,9 +188,13 @@ class ArchiveWriter final : public EpochSink {
     std::vector<uint8_t> payload;  // blocks.size() * block_size bytes
   };
 
+  // Submitted-but-incomplete batches before the writer thread blocks on
+  // the oldest completion (the staging ring bound).
+  static constexpr size_t kRingDepth = 4;
+
   // One group-commit batch: frames serialized (and codec-negotiated) into
-  // per-frame on-disk buffers, written with a single engine job. Owned by
-  // the writer thread; inflight_ membership guarded by mu_.
+  // per-frame on-disk buffers, written with a single writeback job. Owned
+  // by the writer thread; inflight_ membership guarded by mu_.
   struct Batch {
     std::vector<PendingFrame> frames;
     std::vector<std::vector<uint8_t>> bufs;  // on-disk bytes per frame
@@ -231,7 +242,7 @@ class ArchiveWriter final : public EpochSink {
   bool front_staged() const {
     return !queue_.empty() && queue_.front().state == PendingFrame::kStaged;
   }
-  // Serializes, codec-negotiates and submits `b` to the writeback engine.
+  // Serializes, codec-negotiates and submits `b` to the writeback.
   // Runs with mu_ released.
   void submit_batch(Batch& b);
   // Durable-completion processing for the oldest batch: stats, observer,
@@ -251,9 +262,9 @@ class ArchiveWriter final : public EpochSink {
   // (a failed/vetoed store aborts the fold and keeps the delta chain).
   bool store_cold_base(uint64_t epoch,
                        const std::array<uint64_t, kNumRoots>& roots);
-  // write() honoring the kill_after_bytes budget; flips dead_ on short
-  // writes or I/O errors. Used by the compaction/cold paths (batch appends
-  // go through the writeback engine).
+  // durable_file::write_all honoring the kill_after_bytes budget; flips
+  // dead_ on budget exhaustion or an I/O error. Used by the compaction/cold
+  // paths (batch appends go through the writeback).
   bool raw_write(int fd, const void* buf, size_t len);
   // Consults file_op_hook_; false means the op was vetoed (writer is dead).
   bool file_op_allowed(const char* site, uint64_t bytes);
@@ -338,9 +349,9 @@ class ArchiveWriter final : public EpochSink {
   std::atomic<uint64_t> st_cold_{0};
   std::atomic<uint64_t> st_dropped_{0};
 
-  // Declared last so engine threads (whose completion signal touches
+  // Declared last so writeback threads (whose completion signal touches
   // cv_work_) are joined before any other member destructs.
-  std::unique_ptr<tier::WritebackEngine> engine_;
+  std::unique_ptr<tier::Writeback> writeback_;
 };
 
 }  // namespace crpm::snapshot

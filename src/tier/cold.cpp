@@ -1,7 +1,6 @@
 #include "tier/cold.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -10,6 +9,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+
+#include "util/durable_file.h"
 
 namespace crpm::tier {
 
@@ -28,24 +29,13 @@ bool ColdTier::store(uint64_t epoch, const void* header, size_t header_len,
     return false;
   }
   const std::string final_path = dir_ + "/" + base_name(epoch);
-  const std::string tmp = final_path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    if (err) *err = std::string("open ") + tmp + ": " + std::strerror(errno);
-    return false;
-  }
-  bool ok = write_fn(fd, header, header_len) &&
-            write_fn(fd, frame, frame_len);
-  if (ok) ok = ::fdatasync(fd) == 0;
-  ::close(fd);
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    if (err) *err = "cold base write failed or aborted";
-    return false;
-  }
-  if (::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    if (err) *err = std::string("rename: ") + std::strerror(errno);
+  if (!durable_file::atomic_replace(
+          final_path,
+          [&](int fd) {
+            return write_fn(fd, header, header_len) &&
+                   write_fn(fd, frame, frame_len);
+          },
+          err)) {
     return false;
   }
 

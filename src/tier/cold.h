@@ -6,8 +6,8 @@
 //
 //   <archive>.cold/base-<epoch 016x>.crpmsnap
 //
-// written with compactor.cpp semantics: tmp file, write, fdatasync,
-// atomic rename — a crash mid-store leaves at worst a stale tmp (removed)
+// written with durable_file::atomic_replace: tmp file, write, fdatasync,
+// rename, directory fsync — a crash mid-store leaves at worst a stale tmp
 // and never a torn cold base. Each cold file is itself a valid snapshot
 // archive (header + one, usually coded, base frame), so ArchiveReader /
 // snapshot::read_state / crpm_inspect handle it with no special casing;
@@ -43,7 +43,8 @@ class ColdTier {
   const std::string& dir() const { return dir_; }
 
   // Writes via `write_fn(fd, buf, len)` (so the archive writer's crash
-  // budget and file-op hook apply), fdatasyncs, renames. False (with err)
+  // budget and file-op hook apply; plain callers pass
+  // durable_file::write_all), then publishes the file. False (with err)
   // on I/O failure or an aborted write_fn; a false return never leaves a
   // visible cold base. Prunes oldest bases beyond `keep` (0 = keep all)
   // after a successful store.

@@ -27,19 +27,14 @@ struct TierOptions {
   uint64_t group_bytes = 4ull << 20;
   uint64_t flush_deadline_us = 2000;
 
-  // Writeback engine draining the batch ring: "sync" (write+fsync on the
-  // writer thread), "threads" (worker-pool pwritev), "uring" (raw io_uring
-  // syscalls; falls back to threads when the kernel refuses), or "auto"
-  // (uring if available, else threads).
+  // Writeback draining the batch ring (tier/writeback.h): "sync" (write +
+  // fdatasync on the writer thread) or "threads" (two worker threads).
+  // The archive writer rejects any other value.
   std::string writeback = "sync";
-  uint32_t writeback_workers = 2;
-  // Submitted-but-incomplete batches before the writer thread blocks on
-  // the oldest completion (the staging ring bound).
-  uint32_t ring_depth = 4;
 
   // Cold tier: at every compaction fold, the state at the fold epoch is
   // also written as a (codec-negotiated) base frame into `<archive>.cold/`
-  // via tmp + fsync + atomic rename, so epochs the fold retires from the
+  // via durable_file::atomic_replace, so epochs the fold retires from the
   // hot archive stay restorable. cold_keep bounds retained cold bases
   // (0 = keep all).
   bool cold_enabled = false;

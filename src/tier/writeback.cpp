@@ -1,496 +1,85 @@
 #include "tier/writeback.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
-#include <condition_variable>
-#include <cstring>
-#include <deque>
-#include <map>
-#include <mutex>
-#include <set>
-#include <thread>
-
-#include "util/logging.h"
-
-#if __has_include(<linux/io_uring.h>)
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#define CRPM_HAVE_URING 1
-#endif
+#include "util/durable_file.h"
 
 namespace crpm::tier {
 
-namespace {
-
-// pwritev with partial-write/EINTR handling. False on I/O error.
-bool pwritev_all(int fd, std::vector<iovec> iov, uint64_t offset) {
-  size_t i = 0;
-  while (i < iov.size()) {
-    ssize_t n = ::pwritev(fd, iov.data() + i, static_cast<int>(iov.size() - i),
-                          static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    offset += static_cast<uint64_t>(n);
-    auto left = static_cast<size_t>(n);
-    while (i < iov.size() && left >= iov[i].iov_len) {
-      left -= iov[i].iov_len;
-      ++i;
-    }
-    if (i < iov.size() && left > 0) {
-      iov[i].iov_base = static_cast<uint8_t*>(iov[i].iov_base) + left;
-      iov[i].iov_len -= left;
-    }
+Writeback::Writeback(bool threaded) {
+  if (!threaded) return;
+  for (uint32_t i = 0; i < kWorkers; ++i) {
+    threads_.emplace_back([this] { worker(); });
   }
-  return true;
 }
 
-// In-order completion watermark shared by the async engines: jobs may
-// finish out of order, done(t) only advances contiguously.
-class CompletionTracker {
- public:
-  void mark(uint64_t ticket, bool ok) {
-    std::function<void()> sig;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!ok) failed_ = true;
-      finished_.insert(ticket);
-      while (finished_.count(upto_ + 1) != 0) {
-        finished_.erase(++upto_);
-      }
-      sig = signal_;
-    }
-    cv_.notify_all();
-    if (sig) sig();
-  }
-  bool done(uint64_t ticket) const {
+Writeback::~Writeback() {
+  {
     std::lock_guard<std::mutex> lk(mu_);
-    return upto_ >= ticket;
+    stop_ = true;
   }
-  bool wait(uint64_t ticket) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return upto_ >= ticket; });
-    return !failed_;
-  }
-  bool ok() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return !failed_;
-  }
-  void set_signal(std::function<void()> fn) {
-    std::lock_guard<std::mutex> lk(mu_);
-    signal_ = std::move(fn);
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::set<uint64_t> finished_;
-  uint64_t upto_ = 0;
-  bool failed_ = false;
-  std::function<void()> signal_;
-};
-
-class SyncEngine final : public WritebackEngine {
- public:
-  const char* name() const override { return "sync"; }
-
-  uint64_t submit(int fd, uint64_t offset, std::vector<iovec> iov,
-                  uint64_t bytes, bool sync) override {
-    const uint64_t t = ++last_;
-    bool ok = pwritev_all(fd, std::move(iov), offset);
-    if (ok && sync) ok = ::fdatasync(fd) == 0;
-    st_.jobs++;
-    st_.bytes += bytes;
-    if (sync) st_.syncs++;
-    st_.inflight_hwm = st_.inflight_hwm ? st_.inflight_hwm : 1;
-    tracker_.mark(t, ok);
-    return t;
-  }
-  bool done(uint64_t ticket) const override { return tracker_.done(ticket); }
-  bool wait(uint64_t ticket) override { return tracker_.wait(ticket); }
-  bool ok() const override { return tracker_.ok(); }
-  void set_signal(std::function<void()> fn) override {
-    tracker_.set_signal(std::move(fn));
-  }
-  WritebackStats stats() const override { return st_; }
-
- private:
-  uint64_t last_ = 0;
-  WritebackStats st_;  // submitter thread only
-  CompletionTracker tracker_;
-};
-
-class ThreadPoolEngine final : public WritebackEngine {
- public:
-  explicit ThreadPoolEngine(uint32_t workers) {
-    if (workers == 0) workers = 1;
-    for (uint32_t i = 0; i < workers; ++i) {
-      threads_.emplace_back([this] { worker(); });
-    }
-  }
-
-  ~ThreadPoolEngine() override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  const char* name() const override { return "threads"; }
-
-  uint64_t submit(int fd, uint64_t offset, std::vector<iovec> iov,
-                  uint64_t bytes, bool sync) override {
-    Job j{++last_, fd, offset, std::move(iov), bytes, sync};
-    uint64_t t = j.ticket;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      st_.jobs++;
-      st_.bytes += bytes;
-      if (sync) st_.syncs++;
-      ++inflight_;
-      if (inflight_ > st_.inflight_hwm) st_.inflight_hwm = inflight_;
-      jobs_.push_back(std::move(j));
-    }
-    cv_.notify_one();
-    return t;
-  }
-  bool done(uint64_t ticket) const override { return tracker_.done(ticket); }
-  bool wait(uint64_t ticket) override { return tracker_.wait(ticket); }
-  bool ok() const override { return tracker_.ok(); }
-  void set_signal(std::function<void()> fn) override {
-    tracker_.set_signal(std::move(fn));
-  }
-  WritebackStats stats() const override {
-    std::lock_guard<std::mutex> lk(mu_);
-    return st_;
-  }
-
- private:
-  struct Job {
-    uint64_t ticket;
-    int fd;
-    uint64_t offset;
-    std::vector<iovec> iov;
-    uint64_t bytes;
-    bool sync;
-  };
-
-  void worker() {
-    for (;;) {
-      Job j;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] { return stop_ || !jobs_.empty(); });
-        // Drain every queued job even when stopping: tickets must
-        // complete or waiters deadlock.
-        if (jobs_.empty()) return;
-        j = std::move(jobs_.front());
-        jobs_.pop_front();
-      }
-      bool ok = pwritev_all(j.fd, std::move(j.iov), j.offset);
-      if (ok && j.sync) ok = ::fdatasync(j.fd) == 0;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        --inflight_;
-      }
-      tracker_.mark(j.ticket, ok);
-    }
-  }
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Job> jobs_;
-  std::vector<std::thread> threads_;
-  uint64_t last_ = 0;  // submitter thread only
-  uint64_t inflight_ = 0;
-  bool stop_ = false;
-  WritebackStats st_;
-  CompletionTracker tracker_;
-};
-
-#ifdef CRPM_HAVE_URING
-
-int sys_io_uring_setup(unsigned entries, io_uring_params* p) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, p));
+  cv_jobs_.notify_all();
+  for (auto& t : threads_) t.join();
 }
 
-int sys_io_uring_enter(int fd, unsigned to_submit, unsigned min_complete,
-                       unsigned flags) {
-  return static_cast<int>(::syscall(__NR_io_uring_enter, fd, to_submit,
-                                    min_complete, flags, nullptr, 0));
+uint64_t Writeback::submit(int fd, uint64_t offset, std::vector<iovec> iov,
+                           bool sync) {
+  Job j{++last_, fd, offset, std::move(iov), sync};
+  if (threads_.empty()) {
+    run(j);
+    return j.ticket;
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    jobs_.push_back(std::move(j));
+  }
+  cv_jobs_.notify_one();
+  return last_;
 }
 
-// io_uring over raw syscalls. One WRITEV SQE per batch, hard-linked to an
-// FSYNC(DATASYNC) SQE when the batch syncs; a reaper thread harvests CQEs
-// and feeds the in-order tracker. user_data = ticket << 1 | is_fsync.
-class UringEngine final : public WritebackEngine {
- public:
-  // Use create(); a failed setup leaves ring_fd_ < 0.
-  UringEngine() {
-    io_uring_params p{};
-    ring_fd_ = sys_io_uring_setup(kEntries, &p);
-    if (ring_fd_ < 0) return;
+bool Writeback::done(uint64_t ticket) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return upto_ >= ticket;
+}
 
-    sq_ring_sz_ = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-    cq_ring_sz_ = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-    const bool single_mmap = (p.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (single_mmap && cq_ring_sz_ > sq_ring_sz_) sq_ring_sz_ = cq_ring_sz_;
+bool Writeback::wait(uint64_t ticket) {
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_done_.wait(lk, [&] { return upto_ >= ticket; });
+  return !failed_;
+}
 
-    sq_ring_ = ::mmap(nullptr, sq_ring_sz_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQ_RING);
-    if (sq_ring_ == MAP_FAILED) {
-      teardown();
-      return;
-    }
-    if (single_mmap) {
-      cq_ring_ = sq_ring_;
-      cq_ring_sz_ = 0;  // unmapped separately
-    } else {
-      cq_ring_ = ::mmap(nullptr, cq_ring_sz_, PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_POPULATE, ring_fd_,
-                        IORING_OFF_CQ_RING);
-      if (cq_ring_ == MAP_FAILED) {
-        teardown();
-        return;
-      }
-    }
-    sqes_sz_ = p.sq_entries * sizeof(io_uring_sqe);
-    sqes_ = static_cast<io_uring_sqe*>(
-        ::mmap(nullptr, sqes_sz_, PROT_READ | PROT_WRITE,
-               MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQES));
-    if (sqes_ == MAP_FAILED) {
-      sqes_ = nullptr;
-      teardown();
-      return;
-    }
+void Writeback::set_signal(std::function<void()> fn) {
+  std::lock_guard<std::mutex> lk(mu_);
+  signal_ = std::move(fn);
+}
 
-    auto* sq = static_cast<uint8_t*>(sq_ring_);
-    sq_head_ = reinterpret_cast<unsigned*>(sq + p.sq_off.head);
-    sq_tail_ = reinterpret_cast<unsigned*>(sq + p.sq_off.tail);
-    sq_mask_ = *reinterpret_cast<unsigned*>(sq + p.sq_off.ring_mask);
-    sq_array_ = reinterpret_cast<unsigned*>(sq + p.sq_off.array);
-    auto* cq = static_cast<uint8_t*>(cq_ring_);
-    cq_head_ = reinterpret_cast<unsigned*>(cq + p.cq_off.head);
-    cq_tail_ = reinterpret_cast<unsigned*>(cq + p.cq_off.tail);
-    cq_mask_ = *reinterpret_cast<unsigned*>(cq + p.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<io_uring_cqe*>(cq + p.cq_off.cqes);
-
-    reaper_ = std::thread([this] { reap(); });
+void Writeback::run(Job& j) {
+  bool ok = durable_file::pwritev_all(j.fd, std::move(j.iov), j.offset);
+  if (ok && j.sync) ok = durable_file::sync(j.fd);
+  std::function<void()> sig;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!ok) failed_ = true;
+    finished_.insert(j.ticket);
+    while (finished_.erase(upto_ + 1) != 0) ++upto_;
+    sig = signal_;
   }
+  cv_done_.notify_all();
+  if (sig) sig();
+}
 
-  ~UringEngine() override {
-    if (reaper_.joinable()) {
-      stop_.store(true, std::memory_order_release);
-      {
-        // A NOP wakes the reaper out of its GETEVENTS sleep.
-        std::lock_guard<std::mutex> lk(sq_mu_);
-        io_uring_sqe* sqe = next_sqe();
-        std::memset(sqe, 0, sizeof(*sqe));
-        sqe->opcode = IORING_OP_NOP;
-        sqe->user_data = 0;
-        flush_sq(1);
-      }
-      reaper_.join();
-    }
-    teardown();
-  }
-
-  bool valid() const { return ring_fd_ >= 0; }
-  const char* name() const override { return "uring"; }
-
-  uint64_t submit(int fd, uint64_t offset, std::vector<iovec> iov,
-                  uint64_t bytes, bool sync) override {
-    const uint64_t t = ++last_;
+void Writeback::worker() {
+  for (;;) {
+    Job j;
     {
-      std::lock_guard<std::mutex> lk(jobs_mu_);
-      Pending& pend = pending_[t];
-      pend.iov = std::move(iov);
-      pend.cqes_left = sync ? 2 : 1;
-      pend.bytes = bytes;
-      std::lock_guard<std::mutex> slk(sq_mu_);
-      io_uring_sqe* sqe = next_sqe();
-      std::memset(sqe, 0, sizeof(*sqe));
-      sqe->opcode = IORING_OP_WRITEV;
-      sqe->fd = fd;
-      sqe->off = offset;
-      sqe->addr = reinterpret_cast<uint64_t>(pend.iov.data());
-      sqe->len = static_cast<uint32_t>(pend.iov.size());
-      sqe->user_data = t << 1;
-      if (sync) {
-        sqe->flags |= IOSQE_IO_LINK;
-        io_uring_sqe* fsqe = next_sqe();
-        std::memset(fsqe, 0, sizeof(*fsqe));
-        fsqe->opcode = IORING_OP_FSYNC;
-        fsqe->fd = fd;
-        fsqe->fsync_flags = IORING_FSYNC_DATASYNC;
-        fsqe->user_data = (t << 1) | 1;
-      }
-      flush_sq(sync ? 2 : 1);
-      st_.jobs++;
-      st_.bytes += bytes;
-      if (sync) st_.syncs++;
-      ++inflight_;
-      if (inflight_ > st_.inflight_hwm) st_.inflight_hwm = inflight_;
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_jobs_.wait(lk, [&] { return stop_ || !jobs_.empty(); });
+      // Drain every queued job even when stopping: tickets must complete
+      // or waiters deadlock.
+      if (jobs_.empty()) return;
+      j = std::move(jobs_.front());
+      jobs_.pop_front();
     }
-    return t;
+    run(j);
   }
-
-  bool done(uint64_t ticket) const override { return tracker_.done(ticket); }
-  bool wait(uint64_t ticket) override { return tracker_.wait(ticket); }
-  bool ok() const override { return tracker_.ok(); }
-  void set_signal(std::function<void()> fn) override {
-    tracker_.set_signal(std::move(fn));
-  }
-  WritebackStats stats() const override {
-    std::lock_guard<std::mutex> lk(jobs_mu_);
-    return st_;
-  }
-
- private:
-  // Ample headroom over any sane ring_depth; the archive writer bounds
-  // inflight batches well below kEntries/2 (two SQEs per batch).
-  static constexpr unsigned kEntries = 64;
-
-  struct Pending {
-    std::vector<iovec> iov;
-    int cqes_left = 0;
-    uint64_t bytes = 0;
-    bool failed = false;
-  };
-
-  io_uring_sqe* next_sqe() {
-    // Single submitter + kEntries sized for the bounded ring: a free SQE
-    // always exists by construction. pending_tail_ is the local tail so a
-    // two-SQE batch gets two distinct slots before one flush.
-    unsigned idx = pending_tail_ & sq_mask_;
-    sq_array_[idx] = idx;
-    ++pending_tail_;
-    return &sqes_[idx];
-  }
-
-  void flush_sq(unsigned n) {
-    __atomic_store_n(sq_tail_, pending_tail_, __ATOMIC_RELEASE);
-    int r = sys_io_uring_enter(ring_fd_, n, 0, 0);
-    CRPM_CHECK(r >= 0 || errno == EINTR, "io_uring_enter(submit) failed: %s",
-               std::strerror(errno));
-  }
-
-  void reap() {
-    for (;;) {
-      unsigned head = __atomic_load_n(cq_head_, __ATOMIC_RELAXED);
-      unsigned tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-      if (head == tail) {
-        if (stop_.load(std::memory_order_acquire)) return;
-        int r = sys_io_uring_enter(ring_fd_, 0, 1, IORING_ENTER_GETEVENTS);
-        if (r < 0 && errno != EINTR && errno != EAGAIN && errno != EBUSY) {
-          return;
-        }
-        continue;
-      }
-      while (head != tail) {
-        const io_uring_cqe& cqe = cqes_[head & cq_mask_];
-        const uint64_t ud = cqe.user_data;
-        const int32_t res = cqe.res;
-        ++head;
-        __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
-        if (ud == 0) continue;  // shutdown NOP
-        const uint64_t ticket = ud >> 1;
-        const bool is_fsync = (ud & 1) != 0;
-        bool finished = false;
-        bool job_ok = false;
-        {
-          std::lock_guard<std::mutex> lk(jobs_mu_);
-          auto it = pending_.find(ticket);
-          if (it == pending_.end()) continue;
-          Pending& pend = it->second;
-          if (is_fsync ? res != 0
-                       : res < 0 || uint64_t(res) != pend.bytes) {
-            pend.failed = true;
-          }
-          if (--pend.cqes_left == 0) {
-            finished = true;
-            job_ok = !pend.failed;
-            pending_.erase(it);
-            --inflight_;
-          }
-        }
-        if (finished) tracker_.mark(ticket, job_ok);
-      }
-    }
-  }
-
-  void teardown() {
-    if (sqes_ != nullptr) ::munmap(sqes_, sqes_sz_);
-    if (cq_ring_sz_ != 0 && cq_ring_ != nullptr && cq_ring_ != MAP_FAILED) {
-      ::munmap(cq_ring_, cq_ring_sz_);
-    }
-    if (sq_ring_ != nullptr && sq_ring_ != MAP_FAILED) {
-      ::munmap(sq_ring_, sq_ring_sz_);
-    }
-    if (ring_fd_ >= 0) ::close(ring_fd_);
-    ring_fd_ = -1;
-  }
-
-  int ring_fd_ = -1;
-  void* sq_ring_ = nullptr;
-  void* cq_ring_ = nullptr;
-  size_t sq_ring_sz_ = 0;
-  size_t cq_ring_sz_ = 0;
-  io_uring_sqe* sqes_ = nullptr;
-  size_t sqes_sz_ = 0;
-  unsigned* sq_head_ = nullptr;
-  unsigned* sq_tail_ = nullptr;
-  unsigned sq_mask_ = 0;
-  unsigned* sq_array_ = nullptr;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned cq_mask_ = 0;
-  io_uring_cqe* cqes_ = nullptr;
-  unsigned pending_tail_ = 0;
-
-  std::mutex sq_mu_;  // SQ manipulation (submit thread + dtor NOP)
-  mutable std::mutex jobs_mu_;
-  std::map<uint64_t, Pending> pending_;
-  uint64_t last_ = 0;  // submitter thread only
-  uint64_t inflight_ = 0;
-  WritebackStats st_;
-  std::atomic<bool> stop_{false};
-  std::thread reaper_;
-  CompletionTracker tracker_;
-};
-
-#endif  // CRPM_HAVE_URING
-
-}  // namespace
-
-std::unique_ptr<WritebackEngine> WritebackEngine::create(
-    const std::string& kind, uint32_t workers) {
-  if (kind == "threads") {
-    return std::make_unique<ThreadPoolEngine>(workers);
-  }
-  if (kind == "uring" || kind == "auto") {
-#ifdef CRPM_HAVE_URING
-    auto u = std::make_unique<UringEngine>();
-    if (u->valid()) return u;
-#endif
-    if (kind == "uring") {
-      CRPM_LOG_WARN(
-          "io_uring unavailable (kernel/sandbox); archive writeback falls "
-          "back to the worker pool");
-    }
-    return std::make_unique<ThreadPoolEngine>(workers);
-  }
-  if (kind != "sync" && !kind.empty()) {
-    CRPM_LOG_WARN("unknown writeback engine '%s'; using sync", kind.c_str());
-  }
-  return std::make_unique<SyncEngine>();
 }
 
 }  // namespace crpm::tier

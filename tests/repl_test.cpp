@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -25,12 +27,14 @@
 #include "snapshot/archive.h"
 #include "snapshot/format.h"
 #include "snapshot/writer.h"
+#include "util/durable_file.h"
 
 namespace crpm {
 namespace {
 
 using repl::AppendVerdict;
 using repl::ReplicaStore;
+using durable_file::Op;
 
 std::string temp_dir(const std::string& name) {
   auto p = std::filesystem::temp_directory_path() / name;
@@ -272,6 +276,61 @@ TEST(ReplicaStoreTest, AdoptsFilesAcrossRestart) {
   std::filesystem::remove_all(dir);
 }
 
+// Makes the first `op` after arming fail with EIO; disarms on destruction.
+class FailFirst {
+ public:
+  explicit FailFirst(Op op) {
+    durable_file::set_fault_hook([this, op](Op o) {
+      return o == op && !fired_.exchange(true) ? EIO : 0;
+    });
+  }
+  ~FailFirst() { durable_file::set_fault_hook({}); }
+  bool fired() const { return fired_.load(); }
+
+ private:
+  std::atomic<bool> fired_{false};
+};
+
+TEST(ReplicaStoreTest, FailedWriteOrSyncIsNeverStored) {
+  const std::string dir = temp_dir("crpm_replstore_ioerr");
+  ReplicaStore store(dir);
+  auto f1 = make_frame(snapshot::kDeltaFrame, 1, {0, 1}, 0x11);
+  auto f2 = make_frame(snapshot::kDeltaFrame, 2, {1}, 0x22);
+  ASSERT_EQ(store.append(0, 1, kBlk, 1 << 20, 4096, f1.data(), f1.size(),
+                         true),
+            AppendVerdict::kStored);
+  const auto size_before = std::filesystem::file_size(store.peer_path(0));
+
+  for (Op failing : {Op::kWrite, Op::kSync}) {
+    {
+      FailFirst fault(failing);
+      EXPECT_EQ(store.append(0, 2, kBlk, 1 << 20, 4096, f2.data(),
+                             f2.size(), true),
+                AppendVerdict::kError);
+      EXPECT_TRUE(fault.fired());
+    }
+    // Not acked, not counted, and the bytes whose sync failed are gone.
+    EXPECT_EQ(store.newest_epoch(0), 1u);
+    EXPECT_EQ(store.frames_stored(), 1u);
+    EXPECT_EQ(std::filesystem::file_size(store.peer_path(0)), size_before);
+  }
+
+  // The sender's retry of the same epoch is stored and restorable, also
+  // after the replica restarts.
+  EXPECT_EQ(store.append(0, 2, kBlk, 1 << 20, 4096, f2.data(), f2.size(),
+                         true),
+            AppendVerdict::kStored);
+  EXPECT_EQ(store.newest_epoch(0), 2u);
+  ReplicaStore reopened(dir);
+  EXPECT_EQ(reopened.newest_epoch(0), 2u);
+  snapshot::ArchiveReader reader(store.peer_path(0));
+  ASSERT_TRUE(reader.ok());
+  uint64_t latest = 0;
+  ASSERT_TRUE(reader.latest_restorable(&latest));
+  EXPECT_EQ(latest, 2u);
+  std::filesystem::remove_all(dir);
+}
+
 // --- end to end -----------------------------------------------------------
 
 CrpmOptions small_opts() {
@@ -398,6 +457,47 @@ TEST(ReplNodeTest, BoundedQueueBackpressure) {
   EXPECT_GT(st.retries, 0u);
   node.reset();
   (void)frame;
+  std::filesystem::remove_all(dir);
+}
+
+// A pull whose file write, sync or rename fails reports failure and leaves
+// no file behind — neither the archive nor its tmp — and the same pull
+// succeeds once the fault is gone.
+TEST(ReplNodeTest, FailedPullLeavesNoFile) {
+  const std::string dir = temp_dir("crpm_repl_pullerr");
+  Channel channel(2);
+  repl::ReplConfig cfg;
+  cfg.replicas = 1;
+  cfg.ack_timeout_us = 2000;
+  cfg.store_dir = dir + "/store0";
+  repl::ReplNode puller(channel, 0, cfg);
+  cfg.store_dir = dir + "/store1";
+  repl::ReplNode holder(channel, 1, cfg);
+  // The holder keeps origin 0's chain (epochs 1 and 2).
+  for (uint64_t e = 1; e <= 2; ++e) {
+    auto f = make_frame(snapshot::kDeltaFrame, e, {e}, uint8_t(e));
+    ASSERT_EQ(holder.store().append(0, e, kBlk, 1 << 20, 4096, f.data(),
+                                    f.size(), true),
+              AppendVerdict::kStored);
+  }
+
+  const std::string dest = dir + "/pulled.crpmsnap";
+  std::string err;
+  for (Op failing : {Op::kWrite, Op::kSync, Op::kRename}) {
+    {
+      FailFirst fault(failing);
+      EXPECT_FALSE(puller.pull(1, 0, 2, dest, &err));
+      EXPECT_TRUE(fault.fired());
+    }
+    EXPECT_FALSE(std::filesystem::exists(dest));
+    EXPECT_FALSE(std::filesystem::exists(dest + ".tmp"));
+  }
+  ASSERT_TRUE(puller.pull(1, 0, 2, dest, &err)) << err;
+  snapshot::ArchiveReader reader(dest);
+  ASSERT_TRUE(reader.ok());
+  uint64_t latest = 0;
+  ASSERT_TRUE(reader.latest_restorable(&latest));
+  EXPECT_EQ(latest, 2u);
   std::filesystem::remove_all(dir);
 }
 

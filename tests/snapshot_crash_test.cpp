@@ -1,10 +1,13 @@
 // Archive crash robustness: kill the writer mid-append and verify the
 // read path recovers the newest intact epoch from the truncated tail; kill
 // it mid-compaction and verify the delta chain survives the failed fold;
-// and verify a re-attached writer reconciles frames the container never
-// committed (pre-commit staging) by truncating them.
+// verify a re-attached writer reconciles frames the container never
+// committed (pre-commit staging) by truncating them; and verify a failed
+// sync of that truncate fails the writer instead of appending after it.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -16,6 +19,7 @@
 #include "snapshot/archive.h"
 #include "snapshot/restore.h"
 #include "snapshot/writer.h"
+#include "util/durable_file.h"
 #include "util/rng.h"
 
 namespace crpm {
@@ -217,6 +221,47 @@ TEST(SnapshotCrashTest, ReattachTruncatesFramesBeyondCommittedEpoch) {
       << "epoch 4 must hold the post-rollback timeline's data";
   ASSERT_TRUE(snapshot::read_state(path, 3, &image, nullptr, &err)) << err;
   EXPECT_EQ(std::memcmp(image.data(), images[2].data(), image.size()), 0);
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotCrashTest, FailedReattachSyncFailsTheWriter) {
+  // The re-attach truncate is a durability point: when its fdatasync
+  // fails, the file cannot be trusted, so the writer goes failed() and
+  // drops every later epoch rather than appending after it.
+  const CrpmOptions opt = small_opts();
+  const std::string path = temp_archive("initsync");
+  HeapNvmDevice dev(Container::required_device_size(opt));
+  Xoshiro256 rng(109);
+  auto c = Container::open(&dev, opt);
+  {
+    snapshot::ArchiveWriter w(path);
+    w.attach(*c);
+    for (uint64_t e = 1; e <= 2; ++e) run_epoch(*c, rng, e);
+    w.drain();
+    c->set_epoch_sink(nullptr);
+    ASSERT_FALSE(w.failed());
+  }
+
+  std::atomic<bool> fired{false};
+  durable_file::set_fault_hook([&](durable_file::Op op) {
+    return op == durable_file::Op::kSync && !fired.exchange(true) ? EIO : 0;
+  });
+  snapshot::ArchiveWriter w(path);
+  w.attach(*c);
+  durable_file::set_fault_hook({});
+  ASSERT_TRUE(fired.load());
+  EXPECT_TRUE(w.failed());
+  for (uint64_t e = 3; e <= 5; ++e) run_epoch(*c, rng, e);
+  w.drain();
+  c->set_epoch_sink(nullptr);
+  EXPECT_EQ(w.writer_stats().dropped_epochs, 3u);
+  EXPECT_EQ(w.writer_stats().epochs_appended, 0u);
+
+  snapshot::ArchiveReader reader(path);
+  ASSERT_TRUE(reader.ok());
+  uint64_t latest = 0;
+  ASSERT_TRUE(reader.latest_restorable(&latest));
+  EXPECT_EQ(latest, 2u);
   std::filesystem::remove(path);
 }
 

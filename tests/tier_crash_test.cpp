@@ -2,8 +2,8 @@
 // group-commit durability (batch boundaries and the flush deadline), a
 // torn tail landing inside a compressed batch, cold-tier restore of
 // epochs compaction retired from the hot archive, a kill mid-cold-store,
-// cold-base shipping into a ReplicaStore, and a sweep over the writeback
-// engines.
+// cold-base shipping into a ReplicaStore, and a sweep over the two
+// writeback kinds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -460,7 +460,7 @@ TEST(TierCrashTest, ColdBasesShipIntoAReplicaStore) {
 TEST(TierCrashTest, WritebackEngineSweepProducesIdenticalArchives) {
   const CrpmOptions opt = small_opts();
   const uint64_t kEpochs = 4;
-  for (const char* engine : {"sync", "threads", "uring", "auto"}) {
+  for (const char* engine : {"sync", "threads"}) {
     const std::string path = temp_archive(std::string("engine_") + engine);
     std::vector<std::vector<uint8_t>> images;
     {
@@ -472,8 +472,8 @@ TEST(TierCrashTest, WritebackEngineSweepProducesIdenticalArchives) {
       s.tier.writeback = engine;
       snapshot::ArchiveWriter w(path, s);
       w.attach(*c);
-      // "uring"/"auto" may legally fall back; whatever runs must work.
-      EXPECT_NE(w.writeback_name()[0], '\0');
+      // No fallback exists: the requested writeback is the one running.
+      EXPECT_STREQ(w.writeback_name(), engine);
       Xoshiro256 rng(97);
       for (uint64_t e = 1; e <= kEpochs; ++e) {
         images.push_back(run_epoch(*c, rng, e));
@@ -494,6 +494,17 @@ TEST(TierCrashTest, WritebackEngineSweepProducesIdenticalArchives) {
           << engine << " epoch " << e;
     }
     fs::remove(path);
+  }
+}
+
+TEST(TierCrashTest, RemovedWritebackKindsAbort) {
+  // Only "sync" and "threads" exist: any other kind must abort rather than
+  // quietly run synchronous writeback.
+  for (const char* kind : {"uring", "auto", "bogus"}) {
+    snapshot::SnapshotOptions s;
+    s.tier.writeback = kind;
+    EXPECT_DEATH(snapshot::ArchiveWriter(temp_archive("removed_kind"), s),
+                 "unknown writeback");
   }
 }
 

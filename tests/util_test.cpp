@@ -1,10 +1,18 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/bitmap.h"
+#include "util/durable_file.h"
 #include "util/env.h"
 #include "util/rng.h"
 #include "util/sync.h"
@@ -264,6 +272,122 @@ TEST(Env, ParsesWithSuffixAndFallback) {
   ::setenv("CRPM_TEST_ENV_B", "off", 1);
   EXPECT_FALSE(env_bool("CRPM_TEST_ENV_B", true));
   ::unsetenv("CRPM_TEST_ENV_B");
+}
+
+// --- durable_file ----------------------------------------------------------
+
+std::string temp_path(const std::string& name) {
+  auto p = std::filesystem::temp_directory_path() / ("crpm_util_" + name);
+  std::filesystem::remove_all(p);
+  return p.string();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+bool replace_with(const std::string& path, const std::string& bytes) {
+  return durable_file::atomic_replace(path, [&](int fd) {
+    return durable_file::write_all(fd, bytes.data(), bytes.size());
+  });
+}
+
+TEST(DurableFile, PwritevAllFinishesAJobOfManyIovecs) {
+  // Far more iovecs than one pwritev call accepts (IOV_MAX is 1024).
+  const std::string path = temp_path("pwritev");
+  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  std::vector<std::string> bufs;
+  for (int i = 0; i < 3000; ++i) {
+    bufs.emplace_back(1 + i % 7, static_cast<char>('a' + i % 26));
+  }
+  std::vector<iovec> iov;
+  std::string want(16, '\0');
+  for (auto& b : bufs) {
+    iov.push_back(iovec{b.data(), b.size()});
+    want += b;
+  }
+  EXPECT_TRUE(durable_file::pwritev_all(fd, iov, 16));
+  ::close(fd);
+  EXPECT_EQ(read_file(path), want);
+  std::filesystem::remove(path);
+}
+
+TEST(DurableFile, WriteToAFullDeviceFailsWithEnospc) {
+  int fd = ::open("/dev/full", O_WRONLY);
+  ASSERT_GE(fd, 0);
+  const char buf[64] = {};
+  errno = 0;
+  EXPECT_FALSE(durable_file::write_all(fd, buf, sizeof(buf)));
+  EXPECT_EQ(errno, ENOSPC);
+  ::close(fd);
+}
+
+TEST(DurableFile, SyncOfAPipeFails) {
+  int p[2];
+  ASSERT_EQ(::pipe(p), 0);
+  EXPECT_FALSE(durable_file::sync(p[1]));
+  ::close(p[0]);
+  ::close(p[1]);
+}
+
+TEST(DurableFile, FailedFillKeepsTheOldBytesAndNoTmp) {
+  const std::string path = temp_path("replace_fail");
+  ASSERT_TRUE(replace_with(path, "old bytes"));
+  std::string err;
+  EXPECT_FALSE(durable_file::atomic_replace(
+      path,
+      [](int fd) {
+        durable_file::write_all(fd, "new", 3);
+        return false;  // the fill gives up halfway
+      },
+      &err));
+  EXPECT_FALSE(err.empty());
+  EXPECT_EQ(read_file(path), "old bytes");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+}
+
+TEST(DurableFile, SuccessfulReplaceReadsBackAfterReopen) {
+  const std::string path = temp_path("replace_ok");
+  ASSERT_TRUE(replace_with(path, "first"));
+  ASSERT_TRUE(replace_with(path, "second, longer"));
+  EXPECT_EQ(read_file(path), "second, longer");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+}
+
+TEST(DurableFile, PublishIntoAMissingDirectoryFails) {
+  const std::string dir = temp_path("publish_dir");
+  std::filesystem::create_directories(dir);
+  const std::string tmp = dir + "/file.tmp";
+  const std::string target = dir + "/missing/file";
+  std::ofstream(tmp) << "payload";
+  std::string err;
+  EXPECT_FALSE(durable_file::publish(tmp, target, &err));
+  EXPECT_NE(err.find("rename"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/missing"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DurableFile, FaultHookFailsTheChosenOpWithItsErrno) {
+  const std::string path = temp_path("fault");
+  ASSERT_TRUE(replace_with(path, "old"));
+  for (durable_file::Op failing :
+       {durable_file::Op::kWrite, durable_file::Op::kSync,
+        durable_file::Op::kRename}) {
+    durable_file::set_fault_hook(
+        [failing](durable_file::Op op) { return op == failing ? EIO : 0; });
+    errno = 0;
+    EXPECT_FALSE(replace_with(path, "new"));
+    EXPECT_EQ(errno, EIO);
+    durable_file::set_fault_hook({});
+    EXPECT_EQ(read_file(path), "old");
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace
