@@ -24,6 +24,11 @@
 // tail — the gate therefore also certifies that tiering stays off the
 // serving path. Set CRPM_KVD_TIER=0 to measure the archive-less service.
 //
+// Every phase counts its failed connects, failed ops and backlog resets
+// (the schedule fell more than 250 ms behind and was restarted); a failed
+// connect or op makes the run exit 1, since latencies from a phase that
+// lost its connections would gate nothing.
+//
 // Knobs: CRPM_KVD_KEYS (1M), CRPM_KVD_CONNS (8), CRPM_KVD_SECONDS (2 per
 // phase), CRPM_KVD_INTERVAL_MS (25), CRPM_KVD_WORKERS (4), CRPM_KVD_RATE
 // (per-conn ops/s; 0 = 80% of warmup throughput), CRPM_KVD_GET_RATIO
@@ -52,6 +57,9 @@ struct PhaseResult {
   std::vector<uint64_t> get_ns, put_ns;
   uint64_t ops = 0;
   double seconds = 0;
+  uint64_t failed_connects = 0;  // each ends its connection's phase
+  uint64_t failed_ops = 0;       // each ends its connection's phase
+  uint64_t backlog_resets = 0;   // schedule restarted after falling behind
 };
 
 double pct(std::vector<uint64_t>& v, double p) {
@@ -71,11 +79,14 @@ PhaseResult run_phase(const std::string& host, uint16_t port, uint64_t conns,
   std::vector<std::thread> ts;
   for (uint64_t c = 0; c < conns; ++c) {
     ts.emplace_back([&, c] {
+      PhaseResult& r = per[c];
       Client cl;
-      if (!cl.connect(host, port)) return;
+      if (!cl.connect(host, port)) {
+        ++r.failed_connects;
+        return;
+      }
       Xoshiro256 rng(77 + c);
       ScrambledZipfianGenerator zipf(keys, 0.99, 7);
-      PhaseResult& r = per[c];
       const double interval_ns = 1e9 / rate;
       Stopwatch sw;
       double scheduled = 0;
@@ -87,6 +98,7 @@ PhaseResult run_phase(const std::string& host, uint16_t port, uint64_t conns,
               std::chrono::nanoseconds(int64_t(scheduled - now)));
         } else if (now - scheduled > 250e6) {
           scheduled = now;  // cap the backlog; keeps the run meaningful
+          ++r.backlog_resets;
         }
         uint64_t key = zipf.next(rng);
         bool is_get = double(rng.next_below(1000)) < get_ratio * 1000.0;
@@ -98,7 +110,10 @@ PhaseResult run_phase(const std::string& host, uint16_t port, uint64_t conns,
         } else {
           ok = cl.put(key, make_value(key, stamp++), false, nullptr);
         }
-        if (!ok) break;
+        if (!ok) {
+          ++r.failed_ops;
+          break;
+        }
         uint64_t lat = uint64_t(double(sw.elapsed_ns()) - scheduled);
         (is_get ? r.get_ns : r.put_ns).push_back(lat);
         ++r.ops;
@@ -111,6 +126,9 @@ PhaseResult run_phase(const std::string& host, uint16_t port, uint64_t conns,
   out.seconds = seconds;
   for (auto& r : per) {
     out.ops += r.ops;
+    out.failed_connects += r.failed_connects;
+    out.failed_ops += r.failed_ops;
+    out.backlog_resets += r.backlog_resets;
     out.get_ns.insert(out.get_ns.end(), r.get_ns.begin(), r.get_ns.end());
     out.put_ns.insert(out.put_ns.end(), r.put_ns.begin(), r.put_ns.end());
   }
@@ -187,6 +205,11 @@ int main(int argc, char** argv) {
                     : 0.8 * double(warm.ops) / warm.seconds / double(conns);
   std::printf("warmup: %.0f ops/s aggregate -> open-loop %.0f ops/s/conn\n",
               double(warm.ops) / warm.seconds, rate);
+  if (warm.failed_connects + warm.failed_ops > 0) {
+    std::printf("warmup: %llu failed connects, %llu failed ops\n",
+                (unsigned long long)warm.failed_connects,
+                (unsigned long long)warm.failed_ops);
+  }
 
   // Phase off: no checkpoints.
   PhaseResult off = run_phase("127.0.0.1", server.port(), conns, seconds,
@@ -268,9 +291,19 @@ int main(int argc, char** argv) {
     json.row()
         .col("phase", row.phase)
         .col("op", "all")
-        .col("ops_per_sec", ops_per_sec);
+        .col("ops_per_sec", ops_per_sec)
+        .col("failed_connects", row.r->failed_connects)
+        .col("failed_ops", row.r->failed_ops)
+        .col("backlog_resets", row.r->backlog_resets);
   }
   t.print();
+  for (auto& row : rows) {
+    std::printf("%s: %llu failed connects, %llu failed ops, %llu backlog "
+                "resets\n",
+                row.phase, (unsigned long long)row.r->failed_connects,
+                (unsigned long long)row.r->failed_ops,
+                (unsigned long long)row.r->backlog_resets);
+  }
 
   double ratio = p99_get_off > 0 ? p99_get_ckpt / p99_get_off : 0;
   std::printf("\np99 GET ckpt/off: %.3fx over %llu captures "
@@ -278,11 +311,23 @@ int main(int argc, char** argv) {
               ratio, (unsigned long long)snap.async_captures);
   // The gate row: phase=ckpt carries the ratio so check_bench.py can match
   // it without cross-row arithmetic.
+  // The failure counts cover both measured phases (the ratio reads both).
+  const uint64_t failed_connects = off.failed_connects + ckpt.failed_connects;
+  const uint64_t failed_ops = off.failed_ops + ckpt.failed_ops;
   json.row().col("phase", "ckpt").col("op", "gate")
       .col("p99_get_vs_off", ratio)
-      .col("ops_per_sec", double(ckpt.ops) / ckpt.seconds);
+      .col("ops_per_sec", double(ckpt.ops) / ckpt.seconds)
+      .col("failed_connects", failed_connects)
+      .col("failed_ops", failed_ops)
+      .col("backlog_resets", off.backlog_resets + ckpt.backlog_resets);
   if (!json.write()) return 1;
 
   std::filesystem::remove_all(dir);
+  if (failed_connects + failed_ops + warm.failed_connects + warm.failed_ops >
+      0) {
+    std::fprintf(stderr, "bench_kvd: connects or ops failed; the latencies "
+                         "above do not cover the full load\n");
+    return 1;
+  }
   return 0;
 }

@@ -1,25 +1,28 @@
 // Crash-surface exploration harness (the crash matrix).
 //
-// Two deterministic passes over a scenario (a fixed, seeded workload
-// driving the checkpoint protocol on a CrashSimDevice):
+// Two deterministic passes over a scenario (one row of the scenario
+// table in scenario.cpp, run by its shared runner):
 //
-//   pass 1 (count)   run the scenario once with the device's event
+//   pass 1 (count)   run the scenario once per injection domain with a
 //                    recorder installed: every persistence event (clwb,
-//                    sfence, NT-stored line, wbinvd — and, for scenarios
-//                    with an archive, every file write/fsync) is
+//                    sfence, NT-stored line, wbinvd; the archive writer's
+//                    file writes/fsyncs; restore, lazy and scrub steps) is
 //                    enumerated with the protocol-site tag it was emitted
-//                    under (PersistSiteScope / ArchiveWriter::FileOpHook).
+//                    under (PersistSiteScope / ArchiveWriter::FileOpHook /
+//                    the restore step hook). The domains are joined
+//                    domain-major into one event axis.
 //   pass 2 (inject)  re-run the scenario once per selected event index,
 //                    crash at exactly that event, restart, and drive the
-//                    invariant oracle: committed_epoch is monotone and at
-//                    most one ahead of the last known commit, the main
-//                    region is bit-identical to the golden model of the
-//                    recovered epoch, every restorable archive epoch is
+//                    shared oracles: the recovered epoch lies in the
+//                    window the protocol allows, the main region is
+//                    bit-identical to the golden model of the recovered
+//                    epoch, every restorable archive epoch and cold base is
 //                    bit-identical to its golden image (newest-intact
-//                    semantics), and replica chains are prefix-valid.
-//                    The run then continues to completion and the final
-//                    state must match the golden model again — recovery
-//                    must compose with forward progress.
+//                    semantics), replica chains are prefix-valid, and
+//                    readers leave the files they read unchanged. The run
+//                    then continues to completion and the final state must
+//                    match the golden model again — recovery must compose
+//                    with forward progress.
 //
 // Both passes are pure functions of (scenario, seed, epochs, ops): the
 // same MatrixConfig enumerates the same census twice and a violation at
@@ -30,18 +33,16 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/options.h"
 #include "nvm/crash_sim.h"
-
-namespace crpm {
-class Container;
-}
 
 namespace crpm::chaos {
 
@@ -51,18 +52,9 @@ struct MatrixConfig {
   uint64_t epochs = 3;
   uint64_t ops_per_epoch = 48;
   CrashPolicy policy = CrashPolicy::kDropPending;
-  // Enables CrpmOptions::test_fault_flip_before_copy in the scenario's
-  // container — the planted ordering bug the harness self-tests against.
-  bool fault_flip_before_copy = false;
-  // Enables CrpmOptions::test_fault_skip_steal_copy — the async-mode
-  // planted bug (the write-hook steal skips its flush + image snapshot);
-  // only the core-async scenario exercises it.
-  bool fault_skip_steal_copy = false;
-  // Enables CrpmOptions::test_fault_adaptive_skip_transition_flush — the
-  // adaptive engine's planted bug (a mid-epoch LOG->COW promotion skips
-  // flushing the segment pre-image payload); only the core-adaptive
-  // scenario exercises it.
-  bool fault_adaptive_skip_transition_flush = false;
+  // A kPlantedFaults name whose bug the scenario's options enable; empty
+  // runs the correct protocol.
+  std::string fault;
   // core-multiwindow geometry: in-flight capture windows and commit-shard
   // epoch domains (CrpmOptions::max_inflight_epochs / commit_shards).
   // Ignored by every other scenario.
@@ -78,9 +70,34 @@ struct MatrixConfig {
   uint64_t max_events = 0;
 };
 
+// The planted ordering bugs the harness self-tests against: `--fault
+// NAME` sets `field` in the scenario's options. Scenarios whose protocol
+// has the broken step must catch it; the others never reach that step.
+struct PlantedFault {
+  const char* name;
+  bool CrpmOptions::*field;
+};
+inline constexpr PlantedFault kPlantedFaults[] = {
+    // The seg_state flip is persisted before the CoW data copy is fenced.
+    {"flip-before-copy", &CrpmOptions::test_fault_flip_before_copy},
+    // The async write-hook steal skips its flush and image snapshot
+    // (core-async, core-multiwindow).
+    {"skip-steal-copy", &CrpmOptions::test_fault_skip_steal_copy},
+    // A mid-epoch LOG->COW promotion skips flushing the segment pre-image
+    // payload (core-adaptive).
+    {"adaptive-skip-transition-flush",
+     &CrpmOptions::test_fault_adaptive_skip_transition_flush},
+};
+
+// The kPlantedFaults entry called `name`, or null.
+const PlantedFault* find_fault(const std::string& name);
+
 // Pass-1 result: the ordered site tag of every persistence event.
 struct EventCensus {
   std::vector<const char*> tags;
+  // Events per injection domain, in the scenario's domain order; they sum
+  // to tags.size().
+  std::vector<uint64_t> domain_events;
   uint64_t total() const { return tags.size(); }
   std::map<std::string, uint64_t> per_site() const;
 };
@@ -98,18 +115,24 @@ struct Violation {
   std::string detail;
 };
 
-// A scenario owns its workload, golden model, and oracle. Implementations
-// must be deterministic: enumerate() twice with the same config yields
-// identical tag sequences, and run_crash_at() with the same (config,
-// event) yields the same outcome.
+struct ScenarioRow;  // one row of the scenario table (scenario.cpp)
+
+// A scenario: its table row driven by the shared runner. Deterministic:
+// enumerate() twice with the same config yields identical tag sequences,
+// and run_crash_at() with the same (config, event) the same outcome.
 class Scenario {
  public:
-  virtual ~Scenario() = default;
-  virtual EventCensus enumerate(const MatrixConfig& cfg) = 0;
-  virtual RunOutcome run_crash_at(const MatrixConfig& cfg,
-                                  uint64_t event) = 0;
+  explicit Scenario(const ScenarioRow& row) : row_(row) {}
+  EventCensus enumerate(const MatrixConfig& cfg) const;
+  // `census` is enumerate(cfg): it places `event` in its domain.
+  RunOutcome run_crash_at(const MatrixConfig& cfg, const EventCensus& census,
+                          uint64_t event) const;
+
+ private:
+  const ScenarioRow& row_;
 };
 
+// Null when no row is called `name`.
 std::unique_ptr<Scenario> make_scenario(const std::string& name);
 std::vector<std::string> scenario_names();
 
@@ -155,29 +178,49 @@ bool write_json_report(const std::string& path, const MatrixConfig& cfg,
 const char* policy_name(CrashPolicy p);
 bool parse_policy(const std::string& s, CrashPolicy* p);
 
-// --- golden-model oracle, exported for property tests ---------------------
-// The scenarios' seeded workload and DRAM golden model, usable outside the
+// --- golden model and oracles, shared with property tests -----------------
+// The runner's own workload, golden model and oracles, usable outside the
 // crash harness (tests/async_property_test drives random op/capture/commit
-// interleavings against it). Epoch e's ops are a pure function of
-// (cfg.seed, e), so golden_model(cfg, sz, N).at[e] is the committed image
-// of epoch e for any container that replayed epochs 1..e.
+// interleavings against them). Epoch e's stores are a pure function of
+// (cfg.seed, e) and the scenario's workload, so golden_model(cfg, N).at[e]
+// is the committed image of epoch e for any target that replayed epochs
+// 1..e.
 
-// The scenarios' container geometry (small segments so every event stays
-// enumerable); `buffered` selects the buffered-mode variant.
-CrpmOptions scenario_options(const MatrixConfig& cfg, bool buffered);
+// cfg.scenario's options: the table's small geometry (every event stays
+// enumerable) plus the row's changes and cfg.fault.
+CrpmOptions scenario_options(const MatrixConfig& cfg);
 
 struct GoldenModel {
+  // writes[e] = epoch e's stores as (offset, value), in the order made.
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> writes;
   std::vector<std::vector<uint8_t>> at;  // at[e] = committed image of epoch e
 };
-GoldenModel golden_model(const MatrixConfig& cfg, uint64_t region_size,
-                         uint64_t max_epoch);
+GoldenModel golden_model(const MatrixConfig& cfg, uint64_t max_epoch);
 
-// Replays epoch `epoch`'s ops into the container (annotate + store + root).
-void apply_golden_epoch(const MatrixConfig& cfg, Container& c,
-                        uint64_t epoch);
+// Replays epoch `epoch`'s stores into `t` (a Container, an engines::Engine
+// or the runner's target): annotate + store each, then root slot 0 =
+// epoch.
+template <typename T>
+void apply_golden_epoch(const GoldenModel& g, T& t, uint64_t epoch) {
+  for (const auto& [off, v] : g.writes[epoch]) {
+    t.annotate(t.data() + off, sizeof v);
+    std::memcpy(t.data() + off, &v, sizeof v);
+  }
+  t.set_root(0, epoch);
+}
 
-// Image + root oracle: container state equals the golden image of `epoch`.
-bool matches_golden(Container& c, const GoldenModel& g, uint64_t epoch,
+// Image + root oracle: `image` is bit-identical to golden epoch `epoch`
+// and `root` (slot 0) carries `epoch`. `what` names the image in `why`.
+bool matches_golden(const GoldenModel& g, uint64_t epoch,
+                    const uint8_t* image, uint64_t root, const char* what,
                     std::string* why);
+
+// Epoch window + image + root oracle after a reopen: the recovered
+// `epoch` lies in [last_committed, last_committed + window] (a crash inside
+// a checkpoint may have committed up to `window` epochs the run never saw
+// committed) and its main region matches golden.
+bool check_recovered(const GoldenModel& g, uint64_t last_committed,
+                     uint64_t window, uint64_t epoch, const uint8_t* image,
+                     uint64_t root, std::string* why);
 
 }  // namespace crpm::chaos

@@ -100,7 +100,7 @@ MatrixResult run_matrix(const MatrixConfig& cfg, ProgressFn progress) {
   for (uint64_t k : events) {
     const char* tag = r.census.tags[k];
     const std::string site = tag != nullptr ? tag : "untagged";
-    RunOutcome out = scenario->run_crash_at(cfg, k);
+    RunOutcome out = scenario->run_crash_at(cfg, r.census, k);
     ++r.events_tested;
     ++r.tested_per_site[site];
     if (out.crash_fired) ++r.crashes_fired;
@@ -113,12 +113,12 @@ MatrixResult run_matrix(const MatrixConfig& cfg, ProgressFn progress) {
 namespace {
 
 // Full exhaustive sweep of `cfg`, stopping at the first violation.
-bool sweep_finds_violation(Scenario& scenario, const MatrixConfig& cfg,
+bool sweep_finds_violation(const Scenario& scenario, const MatrixConfig& cfg,
                            Violation* v, uint64_t* sweeps) {
   ++*sweeps;
   EventCensus census = scenario.enumerate(cfg);
   for (uint64_t k = 0; k < census.total(); ++k) {
-    RunOutcome out = scenario.run_crash_at(cfg, k);
+    RunOutcome out = scenario.run_crash_at(cfg, census, k);
     if (out.violation) {
       v->event_index = k;
       v->site = census.tags[k] != nullptr ? census.tags[k] : "untagged";
@@ -179,11 +179,7 @@ std::string reproducer_command(const MatrixConfig& cfg, uint64_t event) {
                     std::to_string(cfg.epochs) + " --ops " +
                     std::to_string(cfg.ops_per_epoch) + " --policy " +
                     policy_name(cfg.policy);
-  if (cfg.fault_flip_before_copy) cmd += " --fault flip-before-copy";
-  if (cfg.fault_skip_steal_copy) cmd += " --fault skip-steal-copy";
-  if (cfg.fault_adaptive_skip_transition_flush) {
-    cmd += " --fault adaptive-skip-transition-flush";
-  }
+  if (!cfg.fault.empty()) cmd += " --fault " + cfg.fault;
   if (cfg.scenario == "core-multiwindow") {
     cmd += " --mw-windows " + std::to_string(cfg.mw_windows) +
            " --mw-shards " + std::to_string(cfg.mw_shards);
@@ -247,12 +243,7 @@ bool write_json_report(const std::string& path, const MatrixConfig& cfg,
   kv(&j, "epochs", cfg.epochs);
   kv(&j, "ops_per_epoch", cfg.ops_per_epoch);
   kv(&j, "policy", std::string(policy_name(cfg.policy)));
-  kv(&j, "fault_flip_before_copy",
-     uint64_t(cfg.fault_flip_before_copy ? 1 : 0));
-  kv(&j, "fault_skip_steal_copy",
-     uint64_t(cfg.fault_skip_steal_copy ? 1 : 0));
-  kv(&j, "fault_adaptive_skip_transition_flush",
-     uint64_t(cfg.fault_adaptive_skip_transition_flush ? 1 : 0));
+  kv(&j, "fault", cfg.fault);
   kv(&j, "mw_windows", cfg.mw_windows);
   kv(&j, "mw_shards", cfg.mw_shards);
   kv(&j, "shard_index", cfg.shard_index);

@@ -71,8 +71,11 @@ bool parse_frame(const uint8_t* frame, size_t len, uint64_t block_size,
 }
 
 ReplicaStore::ReplicaStore(std::string dir) : dir_(std::move(dir)) {
+  if (!durable_file::make_dirs(dir_)) {
+    CRPM_LOG_WARN("replica store %s: cannot create it: %s", dir_.c_str(),
+                  std::strerror(errno));
+  }
   std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
   // Adopt peer files left by a previous run so newest_epoch() answers
   // before any new frame arrives (recovery queries hit exactly this).
   for (const auto& e : std::filesystem::directory_iterator(dir_, ec)) {

@@ -24,7 +24,7 @@ bool ColdTier::store(uint64_t epoch, const void* header, size_t header_len,
                      const void* frame, size_t frame_len,
                      const WriteFn& write_fn, uint32_t keep,
                      std::string* err) {
-  if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
+  if (!durable_file::make_dirs(dir_)) {
     if (err) *err = std::string("mkdir ") + dir_ + ": " + std::strerror(errno);
     return false;
   }

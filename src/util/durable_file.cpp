@@ -1,6 +1,7 @@
 #include "util/durable_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -134,6 +135,17 @@ int create(const std::string& path, int flags) {
     return -1;
   }
   return fd;
+}
+
+bool make_dirs(const std::string& dir) {
+  if (::mkdir(dir.c_str(), 0755) == 0) return sync_dir(parent_dir(dir));
+  if (errno == EEXIST) return true;
+  if (errno != ENOENT) return false;
+  // A parent is missing: create it (durably) first, then retry.
+  const std::string parent = parent_dir(dir);
+  if (parent == dir || !make_dirs(parent)) return false;
+  if (::mkdir(dir.c_str(), 0755) != 0) return errno == EEXIST;
+  return sync_dir(parent);
 }
 
 bool move_file(const std::string& from, const std::string& to) {

@@ -13,10 +13,11 @@
 //     target); a failed directory sync after it leaves the new file in
 //     place but still reports failure.
 //   * create: a new file's directory entry is made durable by fsyncing the
-//     parent directory.
+//     parent directory; so is each new directory's (make_dirs).
 //
-// Nothing else under src/ calls fsync, fdatasync or rename
-// (tests/check_durable_file.py enforces it).
+// Nothing else under src/ calls fsync, fdatasync or rename, and nothing on
+// the durable paths creates a directory any other way
+// (tests/check_durable_file.py enforces both).
 #pragma once
 
 #include <sys/uio.h>
@@ -46,6 +47,11 @@ bool sync_dir(const std::string& dir);
 // directory. Returns the fd, or -1 (errno set; the fd is closed) when the
 // open or the directory sync fails.
 int create(const std::string& path, int flags);
+
+// Creates directory `dir` and any missing parents (mode 0755), fsyncing
+// the parent of each directory it creates. An existing entry counts as
+// success. False (errno set) when a mkdir or a directory sync fails.
+bool make_dirs(const std::string& dir);
 
 // Renames `from` to `to` and fsyncs the parent directory of `to`. On
 // failure `from` is left where it was (when the rename itself failed).

@@ -4,9 +4,9 @@
 // container at every commit point, and once through the crash matrix's
 // oracle at randomly drawn crash events, where the recovered epoch must be
 // a legal bound ({last known, +1}) and its image must equal the golden
-// model of exactly that epoch. Reuses the chaos harness's exported
-// workload/golden helpers so "bit-identical" means the same thing here and
-// in the crash matrix.
+// model of exactly that epoch. Uses the crash matrix's own options,
+// workload, golden model and oracles (chaos.h), so "bit-identical" means
+// the same thing here and in the matrix.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -34,13 +34,6 @@ MatrixConfig property_config(uint64_t seed) {
   return cfg;
 }
 
-CrpmOptions property_opts(const MatrixConfig& cfg) {
-  CrpmOptions o = chaos::scenario_options(cfg, /*buffered=*/false);
-  o.async_checkpoint = true;
-  o.async_workers = 0;  // cooperative: deterministic event stream
-  return o;
-}
-
 // The interleaving under test, drawn up-front so the census pass and every
 // injected pass replay the identical schedule: wait_after[e] inserts a
 // full commit barrier after epoch e's capture, otherwise the window drains
@@ -58,31 +51,37 @@ TEST(AsyncProperty, EveryCommitPointMatchesGolden) {
   for (uint64_t seed : {3u, 17u, 29u, 41u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     MatrixConfig cfg = property_config(seed);
-    const CrpmOptions opt = property_opts(cfg);
-    const GoldenModel g =
-        chaos::golden_model(cfg, opt.main_region_size, cfg.epochs);
+    // core-async's options: cooperative mode, a deterministic event stream.
+    const CrpmOptions opt = chaos::scenario_options(cfg);
+    const GoldenModel g = chaos::golden_model(cfg, cfg.epochs);
     const std::vector<bool> wait_after = draw_schedule(seed, cfg.epochs);
 
     HeapNvmDevice dev(Container::required_device_size(opt));
     auto c = Container::open(&dev, opt);
     std::string why;
     for (uint64_t e = 1; e <= cfg.epochs; ++e) {
-      chaos::apply_golden_epoch(cfg, *c, e);
+      chaos::apply_golden_epoch(g, *c, e);
       c->checkpoint();
       // Even before the commit, the *working* state is already epoch e's
       // image — capture does not mutate application data.
-      ASSERT_TRUE(chaos::matches_golden(*c, g, e, &why)) << why;
+      ASSERT_TRUE(chaos::matches_golden(g, e, c->data(), c->get_root(0),
+                                        "main region", &why))
+          << why;
       if (wait_after[e]) {
         c->wait_committed();
         ASSERT_EQ(c->committed_epoch(), e);
-        ASSERT_TRUE(chaos::matches_golden(*c, g, e, &why)) << why;
+        ASSERT_TRUE(chaos::matches_golden(g, e, c->data(), c->get_root(0),
+                                          "main region", &why))
+            << why;
       } else {
         ASSERT_LT(c->committed_epoch(), e);
       }
     }
     c->wait_committed();
     ASSERT_EQ(c->committed_epoch(), cfg.epochs);
-    ASSERT_TRUE(chaos::matches_golden(*c, g, cfg.epochs, &why)) << why;
+    ASSERT_TRUE(chaos::matches_golden(g, cfg.epochs, c->data(), c->get_root(0),
+                                      "main region", &why))
+        << why;
   }
 }
 
@@ -94,14 +93,14 @@ TEST(AsyncProperty, RandomCrashPointsRecoverBitIdentical) {
   for (uint64_t seed : {5u, 23u, 37u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     MatrixConfig cfg = property_config(seed);
-    const CrpmOptions opt = property_opts(cfg);
-    const GoldenModel g =
-        chaos::golden_model(cfg, opt.main_region_size, cfg.epochs);
+    // core-async's options: cooperative mode, a deterministic event stream.
+    const CrpmOptions opt = chaos::scenario_options(cfg);
+    const GoldenModel g = chaos::golden_model(cfg, cfg.epochs);
     const std::vector<bool> wait_after = draw_schedule(seed, cfg.epochs);
 
     auto run_epochs = [&](Container& c, uint64_t from, uint64_t* last) {
       for (uint64_t e = from; e <= cfg.epochs; ++e) {
-        chaos::apply_golden_epoch(cfg, c, e);
+        chaos::apply_golden_epoch(g, c, e);
         c.checkpoint();  // guarantees only epoch e-1 (via backpressure)
         if (*last < e - 1) *last = e - 1;
         if (wait_after[e]) {
@@ -161,17 +160,18 @@ TEST(AsyncProperty, RandomCrashPointsRecoverBitIdentical) {
       dev.crash_and_restart(policy, rng);
       c = Container::open(&dev, opt);
       const uint64_t recovered = c->committed_epoch();
-      ASSERT_TRUE(recovered == last || recovered == last + 1)
-          << "recovered epoch " << recovered << " but last known commit was "
-          << last;
       std::string why;
-      ASSERT_TRUE(chaos::matches_golden(*c, g, recovered, &why)) << why;
+      ASSERT_TRUE(chaos::check_recovered(g, last, /*window=*/1, recovered,
+                                         c->data(), c->get_root(0), &why))
+          << why;
 
       // Recovery composes with forward progress.
       uint64_t last2 = recovered;
       run_epochs(*c, recovered + 1, &last2);
       ASSERT_EQ(c->committed_epoch(), cfg.epochs);
-      ASSERT_TRUE(chaos::matches_golden(*c, g, cfg.epochs, &why)) << why;
+      ASSERT_TRUE(chaos::matches_golden(g, cfg.epochs, c->data(),
+                                        c->get_root(0), "main region", &why))
+          << why;
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 
 #include "chaos/chaos.h"
@@ -38,9 +39,10 @@ TEST(ChaosEnumeration, DeterministicAcrossRuns) {
     for (uint64_t i = 0; i < a.total(); ++i) {
       ASSERT_STREQ(a.tags[i], b.tags[i]) << "event " << i;
     }
-    // And stable within one scenario object too (pass 1 vs lazy re-count).
+    // And stable within one scenario object too.
     EventCensus c = s1->enumerate(cfg);
     ASSERT_EQ(a.total(), c.total());
+    ASSERT_EQ(a.domain_events, c.domain_events);
   }
 }
 
@@ -56,6 +58,71 @@ TEST(ChaosEnumeration, EveryEventIsTagged) {
   EXPECT_GT(sites["cow.data"], 0u);
   EXPECT_GT(sites["archive.frame"], 0u);
   EXPECT_GT(sites["archive.fsync"], 0u);
+}
+
+// Every scenario's per-site census at seed 7 with the default epochs and
+// ops, pinned exactly: a change to the runner or to the protocol that
+// adds, drops or moves a persistence event changes a number here, and a
+// new scenario row must bring its census. The numbers are what
+// `crpm_crashmatrix --scenario S --seed 7 --count` prints.
+TEST(ChaosEnumeration, CensusIsPinned) {
+  using Census = std::map<std::string, uint64_t>;
+  const std::map<std::string, Census> pinned = {
+      {"core",  // 693
+       {{"ckpt.commit", 6}, {"ckpt.flush", 247}, {"ckpt.stage", 12},
+        {"cow.data", 344}, {"cow.flip", 56}, {"cow.pair", 15},
+        {"format", 13}}},
+      {"core-buffered",  // 574
+       {{"ckpt.commit", 6}, {"ckpt.replicate", 527}, {"ckpt.stage", 12},
+        {"cow.pair", 16}, {"format", 13}}},
+      {"core-adaptive",  // 576
+       {{"adaptive.ckpt", 207}, {"adaptive.commit", 6}, {"adaptive.cow", 68},
+        {"adaptive.format", 4}, {"adaptive.log", 183},
+        {"adaptive.promote", 102}, {"adaptive.trunc", 6}}},
+      {"core-async",  // 741
+       {{"async.commit", 6}, {"async.final", 381}, {"async.flush", 103},
+        {"async.stage", 12}, {"async.steal", 185}, {"cow.data", 17},
+        {"cow.flip", 3}, {"cow.pair", 15}, {"format", 13},
+        {"shard.commit", 6}}},
+      {"core-multiwindow",  // 768
+       {{"async.commit", 6}, {"async.final", 381}, {"async.flush", 103},
+        {"async.stage", 12}, {"async.steal", 185}, {"cow.data", 17},
+        {"cow.flip", 5}, {"cow.pair", 15}, {"format", 20},
+        {"shard.commit", 24}}},
+      {"archive",  // 704
+       {{"archive.compact", 2}, {"archive.frame", 3}, {"archive.fsync", 3},
+        {"ckpt.commit", 6}, {"ckpt.flush", 247}, {"ckpt.stage", 12},
+        {"cow.data", 344}, {"cow.flip", 56}, {"cow.pair", 15},
+        {"format", 13}, {"tier.complete", 3}}},
+      {"archive-tier",  // 706
+       {{"archive.compact", 2}, {"archive.frame", 2}, {"archive.fsync", 2},
+        {"ckpt.commit", 6}, {"ckpt.flush", 247}, {"ckpt.stage", 12},
+        {"cow.data", 344}, {"cow.flip", 56}, {"cow.pair", 15},
+        {"format", 13}, {"tier.cold", 2}, {"tier.complete", 2},
+        {"tier.encode", 3}}},
+      {"repl",  // 693
+       {{"ckpt.commit", 6}, {"ckpt.flush", 247}, {"ckpt.stage", 12},
+        {"cow.data", 344}, {"cow.flip", 56}, {"cow.pair", 15},
+        {"format", 13}}},
+      {"recovery",  // 38
+       {{"ckpt.commit", 2}, {"ckpt.flush", 2}, {"ckpt.stage", 4},
+        {"format", 13}, {"lazy.chunk", 4}, {"lazy.plan", 1},
+        {"restore.container", 1}, {"restore.image", 1},
+        {"restore.renamed", 2}, {"restore.synced", 2}, {"restore.tmp", 2},
+        {"scrub.archive", 1}, {"scrub.cold", 1}, {"scrub.container", 1},
+        {"scrub.pass", 1}}},
+  };
+  const std::vector<std::string> names = scenario_names();
+  EXPECT_EQ(names.size(), pinned.size()) << "a pinned scenario has no row";
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    auto it = pinned.find(name);
+    ASSERT_NE(it, pinned.end()) << "scenario has no pinned census";
+    MatrixConfig cfg;
+    cfg.scenario = name;
+    cfg.seed = 7;
+    EXPECT_EQ(make_scenario(name)->enumerate(cfg).per_site(), it->second);
+  }
 }
 
 TEST(ChaosSelect, ShardsPartitionTheMatrix) {
@@ -197,7 +264,7 @@ TEST(ChaosFault, FlipBeforeCopyIsCaughtAndShrinks) {
   MatrixConfig cfg = small_config("core");
   cfg.epochs = 2;
   cfg.ops_per_epoch = 16;
-  cfg.fault_flip_before_copy = true;
+  cfg.fault = "flip-before-copy";
   MatrixResult r = run_matrix(cfg);
   ASSERT_FALSE(r.violations.empty())
       << "matrix missed the planted flip-before-copy bug";
@@ -212,10 +279,11 @@ TEST(ChaosFault, FlipBeforeCopyIsCaughtAndShrinks) {
   EXPECT_EQ(shrunk.config.sample, 0u);
 
   auto scenario = make_scenario(shrunk.config.scenario);
-  RunOutcome first = scenario->run_crash_at(shrunk.config,
-                                            shrunk.event_index);
-  RunOutcome second = scenario->run_crash_at(shrunk.config,
-                                             shrunk.event_index);
+  const EventCensus census = scenario->enumerate(shrunk.config);
+  RunOutcome first =
+      scenario->run_crash_at(shrunk.config, census, shrunk.event_index);
+  RunOutcome second =
+      scenario->run_crash_at(shrunk.config, census, shrunk.event_index);
   EXPECT_TRUE(first.crash_fired);
   EXPECT_TRUE(first.violation);
   EXPECT_TRUE(second.violation);
@@ -232,7 +300,7 @@ TEST(ChaosFault, FlipBeforeCopyIsCaughtAndShrinks) {
 TEST(ChaosFault, SkipStealCopyIsCaughtAndShrinks) {
   MatrixConfig cfg = small_config("core-async");
   cfg.ops_per_epoch = 16;
-  cfg.fault_skip_steal_copy = true;
+  cfg.fault = "skip-steal-copy";
   MatrixResult r = run_matrix(cfg);
   ASSERT_FALSE(r.violations.empty())
       << "matrix missed the planted skip-steal-copy bug";
@@ -248,10 +316,11 @@ TEST(ChaosFault, SkipStealCopyIsCaughtAndShrinks) {
   EXPECT_NE(cmd.find("--fault skip-steal-copy"), std::string::npos);
 
   auto scenario = make_scenario(shrunk.config.scenario);
-  RunOutcome first = scenario->run_crash_at(shrunk.config,
-                                            shrunk.event_index);
-  RunOutcome second = scenario->run_crash_at(shrunk.config,
-                                             shrunk.event_index);
+  const EventCensus census = scenario->enumerate(shrunk.config);
+  RunOutcome first =
+      scenario->run_crash_at(shrunk.config, census, shrunk.event_index);
+  RunOutcome second =
+      scenario->run_crash_at(shrunk.config, census, shrunk.event_index);
   EXPECT_TRUE(first.crash_fired);
   EXPECT_TRUE(first.violation);
   EXPECT_TRUE(second.violation);
@@ -268,7 +337,7 @@ TEST(ChaosFault, SkipStealCopyIsCaughtAndShrinks) {
 TEST(ChaosFault, AdaptiveSkipTransitionFlushIsCaughtAndShrinks) {
   MatrixConfig cfg = small_config("core-adaptive");
   cfg.ops_per_epoch = 24;
-  cfg.fault_adaptive_skip_transition_flush = true;
+  cfg.fault = "adaptive-skip-transition-flush";
   MatrixResult r = run_matrix(cfg);
   ASSERT_FALSE(r.violations.empty())
       << "matrix missed the planted adaptive transition-flush bug";
@@ -284,10 +353,11 @@ TEST(ChaosFault, AdaptiveSkipTransitionFlushIsCaughtAndShrinks) {
             std::string::npos);
 
   auto scenario = make_scenario(shrunk.config.scenario);
-  RunOutcome first = scenario->run_crash_at(shrunk.config,
-                                            shrunk.event_index);
-  RunOutcome second = scenario->run_crash_at(shrunk.config,
-                                             shrunk.event_index);
+  const EventCensus census = scenario->enumerate(shrunk.config);
+  RunOutcome first =
+      scenario->run_crash_at(shrunk.config, census, shrunk.event_index);
+  RunOutcome second =
+      scenario->run_crash_at(shrunk.config, census, shrunk.event_index);
   EXPECT_TRUE(first.crash_fired);
   EXPECT_TRUE(first.violation);
   EXPECT_TRUE(second.violation);
@@ -327,16 +397,35 @@ TEST(ChaosFault, CleanProtocolSurvivesTheFaultEventIndices) {
   EXPECT_TRUE(r.violations.empty());
 }
 
+// The planted-fault table is the one map from a --fault name to the
+// option it sets: each name resolves and switches on exactly its field.
+TEST(ChaosFault, TableSetsExactlyItsField) {
+  MatrixConfig cfg = small_config("core");
+  const CrpmOptions plain = scenario_options(cfg);
+  for (const PlantedFault& f : kPlantedFaults) {
+    SCOPED_TRACE(f.name);
+    ASSERT_EQ(find_fault(f.name), &f);
+    EXPECT_FALSE(plain.*(f.field));
+    cfg.fault = f.name;
+    const CrpmOptions o = scenario_options(cfg);
+    for (const PlantedFault& other : kPlantedFaults) {
+      EXPECT_EQ(o.*(other.field), &other == &f) << other.name;
+    }
+  }
+  EXPECT_EQ(find_fault("bogus"), nullptr);
+  EXPECT_EQ(find_fault(""), nullptr);
+}
+
 TEST(ChaosReport, ReproducerAndJsonRoundOut) {
   MatrixConfig cfg = small_config("core");
-  cfg.fault_flip_before_copy = true;
+  cfg.fault = "flip-before-copy";
   std::string cmd = reproducer_command(cfg, 42);
   EXPECT_NE(cmd.find("--scenario core"), std::string::npos);
   EXPECT_NE(cmd.find("--seed 11"), std::string::npos);
   EXPECT_NE(cmd.find("--fault flip-before-copy"), std::string::npos);
   EXPECT_NE(cmd.find("--crash-at 42"), std::string::npos);
 
-  cfg.fault_flip_before_copy = false;
+  cfg.fault.clear();
   cfg.sample = 30;
   MatrixResult r = run_matrix(cfg);
   auto path = std::filesystem::temp_directory_path() /
@@ -349,6 +438,7 @@ TEST(ChaosReport, ReproducerAndJsonRoundOut) {
   EXPECT_NE(body.find("\"events_total\""), std::string::npos);
   EXPECT_NE(body.find("\"sites\""), std::string::npos);
   EXPECT_NE(body.find("\"violations\""), std::string::npos);
+  EXPECT_NE(body.find("\"fault\": \"\""), std::string::npos);
   std::filesystem::remove(path);
 }
 

@@ -6,9 +6,13 @@
 Every file write that must survive a power loss goes through
 src/util/durable_file (DESIGN.md "Durable files"). This check fails when
 a code line anywhere else under src/ calls fsync, fdatasync or rename —
-a hand-written copy of that protocol. Comments and string literals are
-ignored. Exit 0 when clean; 1 with one line per offending call. Uses only
-the standard library; registered as a ctest in tests/CMakeLists.txt.
+a hand-written copy of that protocol — or when a code line on the
+durable paths (src/tier, src/repl, src/snapshot, src/apps) creates a
+directory with mkdir, create_directory or create_directories instead of
+durable_file::make_dirs, which also syncs the new entry's parent.
+Comments and string literals are ignored. Exit 0 when clean; 1 with one
+line per offending call. Uses only the standard library; registered as a
+ctest in tests/CMakeLists.txt.
 """
 
 import re
@@ -16,6 +20,8 @@ import sys
 from pathlib import Path
 
 CALL = re.compile(r"\b(fsync|fdatasync|rename)\s*\(")
+MKDIR = re.compile(r"\b(mkdir|create_directory|create_directories)\s*\(")
+DURABLE_DIRS = ("tier", "repl", "snapshot", "apps")
 SOURCES = (".c", ".cc", ".cpp", ".h", ".hpp")
 ALLOWED = Path("src") / "util" / "durable_file.cpp"
 
@@ -47,12 +53,15 @@ def code_only(text):
     return "".join(out)
 
 
-def offending_calls(text):
-    """(line number, name) of every fsync/fdatasync/rename call in code."""
+def offending_calls(text, durable_path=False):
+    """(line number, name) of every fsync/fdatasync/rename call in code,
+    and of every directory creation when `durable_path` is set."""
+    patterns = (CALL, MKDIR) if durable_path else (CALL,)
     calls = []
     for lineno, line in enumerate(code_only(text).split("\n"), 1):
-        calls.extend((lineno, m.group(1)) for m in CALL.finditer(line))
-    return calls
+        for pattern in patterns:
+            calls.extend((lineno, m.group(1)) for m in pattern.finditer(line))
+    return sorted(calls)
 
 
 def self_test():
@@ -67,6 +76,18 @@ def self_test():
     got = offending_calls(planted)
     if got != want:
         sys.exit(f"check_durable_file: self-test failed: {got} != {want}")
+    planted_dirs = (
+        "if (::mkdir(dir_.c_str(), 0755) != 0) return;\n"
+        "fs::create_directories(p, ec);  // mkdir(p) in a comment\n"
+        "durable_file::make_dirs(dir_); std::string s = \"mkdir(\";\n"
+    )
+    want = [(1, "mkdir"), (2, "create_directories")]
+    got = offending_calls(planted_dirs, durable_path=True)
+    if got != want:
+        sys.exit(f"check_durable_file: self-test failed: {got} != {want}")
+    if offending_calls(planted_dirs):
+        sys.exit("check_durable_file: self-test failed: directory creation "
+                 "flagged off the durable paths")
 
 
 def main():
@@ -82,7 +103,8 @@ def main():
         if path.suffix not in SOURCES or rel == ALLOWED:
             continue
         text = path.read_text(encoding="utf-8", errors="replace")
-        for lineno, name in offending_calls(text):
+        durable_path = rel.parts[1] in DURABLE_DIRS
+        for lineno, name in offending_calls(text, durable_path):
             bad.append(f"{rel}:{lineno}: calls {name}(); use "
                        f"util/durable_file instead")
     for line in bad:

@@ -390,5 +390,50 @@ TEST(DurableFile, FaultHookFailsTheChosenOpWithItsErrno) {
   std::filesystem::remove(path);
 }
 
+// Counts the directory syncs durable_file performs while alive.
+struct DirSyncCounter {
+  int syncs = 0;
+  DirSyncCounter() {
+    durable_file::set_fault_hook([this](durable_file::Op op) {
+      if (op == durable_file::Op::kSyncDir) ++syncs;
+      return 0;
+    });
+  }
+  ~DirSyncCounter() { durable_file::set_fault_hook({}); }
+};
+
+TEST(DurableFile, MakeDirsCreatesNestedDirsAndSyncsEachParent) {
+  const std::string root = temp_path("mkdirs");
+  const std::string leaf = root + "/a/b";
+  {
+    DirSyncCounter counter;
+    ASSERT_TRUE(durable_file::make_dirs(leaf));
+    EXPECT_EQ(counter.syncs, 3);  // root, a and b are new entries
+  }
+  EXPECT_TRUE(std::filesystem::is_directory(leaf));
+  std::filesystem::remove_all(root);
+}
+
+TEST(DurableFile, MakeDirsOfAnExistingDirSucceedsWithoutSyncing) {
+  const std::string dir = temp_path("mkdirs_exist");
+  std::filesystem::create_directories(dir);
+  DirSyncCounter counter;
+  EXPECT_TRUE(durable_file::make_dirs(dir));  // mkdir fails with EEXIST
+  EXPECT_EQ(counter.syncs, 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DurableFile, MakeDirsFailsWhenTheParentSyncFails) {
+  const std::string dir = temp_path("mkdirs_fault");
+  durable_file::set_fault_hook([](durable_file::Op op) {
+    return op == durable_file::Op::kSyncDir ? EIO : 0;
+  });
+  errno = 0;
+  EXPECT_FALSE(durable_file::make_dirs(dir + "/nested"));
+  EXPECT_EQ(errno, EIO);
+  durable_file::set_fault_hook({});
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace crpm

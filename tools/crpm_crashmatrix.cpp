@@ -20,19 +20,23 @@ namespace {
 using crpm::chaos::MatrixConfig;
 
 void usage(FILE* out) {
+  std::string scenarios, faults;
+  for (const auto& n : crpm::chaos::scenario_names()) {
+    scenarios += (scenarios.empty() ? "" : " | ") + n;
+  }
+  for (const auto& f : crpm::chaos::kPlantedFaults) {
+    faults += (faults.empty() ? "" : " | ") + std::string(f.name);
+  }
   std::fprintf(out,
                "usage: crpm_crashmatrix [options]\n"
-               "  --scenario NAME   core | core-buffered | core-adaptive | "
-               "core-async | core-multiwindow | archive | archive-tier | "
-               "repl | recovery (default core)\n"
+               "  --scenario NAME   %s (default core)\n"
                "  --list            list scenarios and exit\n"
                "  --seed S          workload seed (default 1)\n"
                "  --epochs E        checkpoint epochs (default 3)\n"
                "  --ops N           writes per epoch (default 48)\n"
                "  --policy P        pending-line policy at the crash: drop |"
                " commit | random\n"
-               "  --fault F         enable a planted bug: flip-before-copy |"
-               " skip-steal-copy | adaptive-skip-transition-flush\n"
+               "  --fault F         enable a planted bug: %s\n"
                "  --mw-windows K    core-multiwindow: in-flight capture "
                "windows (default 3)\n"
                "  --mw-shards S     core-multiwindow: commit-shard epoch "
@@ -44,7 +48,8 @@ void usage(FILE* out) {
                "  --max-events K    hard cap after shard/sample (CI smoke)\n"
                "  --json PATH       write the coverage report to PATH\n"
                "  --no-shrink       print the raw reproducer, skip "
-               "minimization\n");
+               "minimization\n",
+               scenarios.c_str(), faults.c_str());
 }
 
 bool parse_u64(const char* s, uint64_t* v) {
@@ -94,15 +99,9 @@ int main(int argc, char** argv) {
         return 64;
       }
     } else if (a == "--fault") {
-      std::string f = need("--fault");
-      if (f == "flip-before-copy") {
-        cfg.fault_flip_before_copy = true;
-      } else if (f == "skip-steal-copy") {
-        cfg.fault_skip_steal_copy = true;
-      } else if (f == "adaptive-skip-transition-flush") {
-        cfg.fault_adaptive_skip_transition_flush = true;
-      } else {
-        std::fprintf(stderr, "unknown fault '%s'\n", f.c_str());
+      cfg.fault = need("--fault");
+      if (crpm::chaos::find_fault(cfg.fault) == nullptr) {
+        std::fprintf(stderr, "unknown fault '%s'\n", cfg.fault.c_str());
         return 64;
       }
     } else if (a == "--mw-windows") {
@@ -162,7 +161,8 @@ int main(int argc, char** argv) {
   }
 
   if (single) {
-    crpm::chaos::RunOutcome out = scenario->run_crash_at(cfg, crash_at);
+    crpm::chaos::RunOutcome out =
+        scenario->run_crash_at(cfg, scenario->enumerate(cfg), crash_at);
     std::printf("event %llu: crash %s, %s\n", (unsigned long long)crash_at,
                 out.crash_fired ? "fired" : "did not fire",
                 out.violation ? "VIOLATION" : "clean");
