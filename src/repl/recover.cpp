@@ -35,20 +35,9 @@ std::unique_ptr<Container> restore_from_partner(ReplNode& node, int partner,
     *err = "restore from pulled archive failed: " + r.error;
     return nullptr;
   }
-  CRPM_CHECK(r.epoch == e, "pulled archive restored epoch %llu, wanted %llu",
+  CRPM_CHECK(r.epoch == e && r.container->committed_epoch() == e,
+             "pulled archive restored epoch %llu, wanted %llu",
              (unsigned long long)r.epoch, (unsigned long long)e);
-
-  // The restored container committed its state as epoch 1; the cluster is
-  // at e. Renumbering preserves parity (active_index() = epoch & 1), so if
-  // e is on the other parity first commit one state-identical checkpoint —
-  // touching a root with its own value defeats the empty-checkpoint skip.
-  uint64_t cur = r.container->committed_epoch();
-  if (((e ^ cur) & 1) != 0) {
-    r.container->set_root(0, r.container->get_root(0));
-    r.container->checkpoint();
-    cur = r.container->committed_epoch();
-  }
-  r.container->renumber_epoch(e);
   // Reopen with the caller's options (restore forced thread_count = 1).
   r.container.reset();
   return Container::open(dev, opt, Container::kLatestEpoch);

@@ -23,9 +23,8 @@
 //      unrecoverable; same invariant as coordinated_open.
 //   4. healthy ranks open at E (rolling back one epoch if ahead). Lost
 //      ranks pull the frame chain for epoch E from a partner, restore it
-//      onto their (pristine) device, renumber the restored container's
-//      epoch counter to E (parity-preserving — see
-//      Container::renumber_epoch) and reopen with the caller's options.
+//      onto their (pristine) device — snapshot::restore formats it at the
+//      archived epoch E — and reopen with the caller's options.
 //   5. lost ranks refill their own replica store by pulling each client
 //      rank's chain from that rank's local archive, so the next delta
 //      frame (epoch E+1) extends a chain instead of gap-rejecting

@@ -9,8 +9,9 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <thread>
+#include <memory>
 
+#include "snapshot/workers.h"
 #include "tier/coded.h"
 #include "util/logging.h"
 
@@ -49,13 +50,15 @@ std::string warnf(const char* fmt, unsigned long long a,
 
 }  // namespace
 
-ArchiveReader::ArchiveReader(const std::string& path) { run_scan(path); }
+ArchiveReader::ArchiveReader(const std::string& path, uint32_t scan_workers) {
+  run_scan(path, scan_workers);
+}
 
 ArchiveReader::~ArchiveReader() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void ArchiveReader::run_scan(const std::string& path) {
+void ArchiveReader::run_scan(const std::string& path, uint32_t workers) {
   fd_ = ::open(path.c_str(), O_RDONLY);
   if (fd_ < 0) {
     scan_.warnings.push_back("cannot open archive: " +
@@ -77,7 +80,10 @@ void ArchiveReader::run_scan(const std::string& path) {
   scan_.valid = true;
   scan_.header = h;
 
+  // Pass 1: walk the frame headers (and coded extents), which carry each
+  // frame's length. Whatever stops the walk is the unparseable tail.
   const uint64_t nr_blocks = h.region_size / h.block_size;
+  std::string tail_warning;
   uint64_t off = sizeof(ArchiveHeader);
   uint64_t prev_epoch = 0;
   while (off + sizeof(FrameHeader) <= file_size) {
@@ -85,17 +91,17 @@ void ArchiveReader::run_scan(const std::string& path) {
     if (!pread_exact(fd_, &fh, sizeof(fh), off)) break;
     if (fh.marker != kFrameMarker ||
         fh.header_crc != crc32(&fh, offsetof(FrameHeader, header_crc))) {
-      scan_.warnings.push_back(warnf(
+      tail_warning = warnf(
           "unparseable frame header at offset %llu: dropping %llu tail "
           "bytes (torn append)",
-          off, file_size - off));
+          off, file_size - off);
       break;
     }
     if (!known_kind(fh.kind) || fh.block_count > nr_blocks ||
         fh.epoch <= prev_epoch) {
-      scan_.warnings.push_back(warnf(
+      tail_warning = warnf(
           "implausible frame at offset %llu (epoch %llu): stopping scan",
-          off, fh.epoch));
+          off, fh.epoch);
       break;
     }
 
@@ -106,7 +112,6 @@ void ArchiveReader::run_scan(const std::string& path) {
     info.block_count = fh.block_count;
 
     uint64_t total = 0;
-    bool intact = true;
     if (is_coded_kind(fh.kind)) {
       // Coded frame: the length comes from the CodedExtent, which must
       // itself verify before we trust it. A torn extent is the tail shape
@@ -114,89 +119,125 @@ void ArchiveReader::run_scan(const std::string& path) {
       CodedExtent ce;
       if (off + sizeof(FrameHeader) + sizeof(ce) > file_size ||
           !pread_exact(fd_, &ce, sizeof(ce), off + sizeof(FrameHeader))) {
-        scan_.warnings.push_back(warnf(
+        tail_warning = warnf(
             "coded frame for epoch %llu truncated mid-append: dropping "
             "%llu tail bytes",
-            fh.epoch, file_size - off));
+            fh.epoch, file_size - off);
         break;
       }
       if (ce.marker != kExtentMarker ||
           ce.extent_crc != crc32(&ce, offsetof(CodedExtent, extent_crc)) ||
           ce.raw_bytes != frame_bytes(fh.block_count, h.block_size) ||
           ce.encoded_bytes >= ce.raw_bytes) {
-        scan_.warnings.push_back(warnf(
+        tail_warning = warnf(
             "unparseable coded extent at offset %llu: dropping %llu tail "
             "bytes (torn append)",
-            off, file_size - off));
+            off, file_size - off);
         break;
       }
       total = coded_frame_bytes(ce.encoded_bytes);
       if (off + total > file_size) {
-        scan_.warnings.push_back(warnf(
+        tail_warning = warnf(
             "coded frame for epoch %llu truncated mid-append: dropping "
             "%llu tail bytes",
-            fh.epoch, file_size - off));
+            fh.epoch, file_size - off);
         break;
       }
       info.codec = ce.codec;
       info.raw_bytes = ce.raw_bytes;
-      // Full structural + encoded-CRC verification (no decode needed).
-      std::vector<uint8_t> buf(total);
-      if (!pread_exact(fd_, buf.data(), buf.size(), off)) break;
-      intact = tier::coded_frame_valid(buf.data(), buf.size());
     } else {
       total = frame_bytes(fh.block_count, h.block_size);
       if (off + total > file_size) {
-        scan_.warnings.push_back(warnf(
+        tail_warning = warnf(
             "frame for epoch %llu truncated mid-append: dropping %llu tail "
             "bytes",
-            fh.epoch, file_size - off));
+            fh.epoch, file_size - off);
         break;
       }
       info.raw_bytes = total;
-
-      // Verify records and footer.
-      const uint64_t rec = record_bytes(h.block_size);
-      std::vector<uint8_t> buf(total - sizeof(FrameHeader));
-      if (!pread_exact(fd_, buf.data(), buf.size(),
-                       off + sizeof(FrameHeader))) {
-        break;
-      }
-      uint32_t payload_crc = 0;
-      const uint8_t* p = buf.data();
-      for (uint64_t i = 0; i < fh.block_count && intact; ++i, p += rec) {
-        uint32_t stored = 0;
-        std::memcpy(&stored, p + rec - 4, 4);
-        uint64_t idx = 0;
-        std::memcpy(&idx, p, 8);
-        if (stored != crc32(p, rec - 4) || idx >= nr_blocks) intact = false;
-        payload_crc = crc32(&stored, 4, payload_crc);
-      }
-      FrameFooter ff;
-      std::memcpy(&ff, buf.data() + buf.size() - sizeof(ff), sizeof(ff));
-      if (ff.marker != kFooterMarker || ff.epoch != fh.epoch ||
-          ff.frame_bytes != total || ff.payload_crc != payload_crc ||
-          ff.footer_crc != crc32(&ff, offsetof(FrameFooter, footer_crc))) {
-        intact = false;
-      }
     }
     info.frame_bytes = total;
-    info.intact = intact;
-    if (!intact) {
-      scan_.warnings.push_back(warnf(
-          "epoch %llu at offset %llu failed CRC verification: skipping "
-          "corrupt frame",
-          fh.epoch, off));
-    }
     scan_.epochs.push_back(info);
     prev_epoch = fh.epoch;
     off += total;
   }
+
+  // Pass 2: every frame's body check, claimed off a shared cursor; each
+  // worker reads through one buffer.
+  const size_t n = scan_.epochs.size();
+  auto read_ok = std::make_unique<bool[]>(n);
+  workers = pool_size(workers);
+  std::vector<std::vector<uint8_t>> bufs(workers);
+  claim_each(n, workers, [&](uint64_t i, uint32_t self) {
+    scan_.epochs[i].intact =
+        body_intact(scan_.epochs[i], &bufs[self], &read_ok[i]);
+    return true;
+  });
+
+  // Verdicts in file order, as a front-to-back scan reports them: a body
+  // that cannot be read ends the scan there, like an I/O error mid-walk.
+  for (size_t i = 0; i < n; ++i) {
+    const EpochInfo& info = scan_.epochs[i];
+    if (!read_ok[i]) {
+      off = info.file_offset;
+      scan_.epochs.resize(i);
+      tail_warning.clear();
+      break;
+    }
+    if (!info.intact) {
+      scan_.warnings.push_back(warnf(
+          "epoch %llu at offset %llu failed CRC verification: skipping "
+          "corrupt frame",
+          info.epoch, info.file_offset));
+    }
+  }
+  if (!tail_warning.empty()) scan_.warnings.push_back(tail_warning);
   scan_.scan_end = off;
   scan_.truncated_bytes = file_size - off;
   for (const auto& w : scan_.warnings) {
     CRPM_LOG_WARN("archive %s: %s", path.c_str(), w.c_str());
   }
+}
+
+bool ArchiveReader::body_intact(const EpochInfo& info,
+                                std::vector<uint8_t>* buf,
+                                bool* read_ok) const {
+  *read_ok = false;
+  if (is_coded_kind(info.kind)) {
+    // Full structural + encoded-CRC verification (no decode needed).
+    buf->resize(info.frame_bytes);
+    if (!pread_exact(fd_, buf->data(), buf->size(), info.file_offset)) {
+      return false;
+    }
+    *read_ok = true;
+    return tier::coded_frame_valid(buf->data(), buf->size());
+  }
+  // Verify records and footer.
+  const uint64_t bs = scan_.header.block_size;
+  const uint64_t nr_blocks = scan_.header.region_size / bs;
+  const uint64_t rec = record_bytes(bs);
+  buf->resize(info.frame_bytes - sizeof(FrameHeader));
+  if (!pread_exact(fd_, buf->data(), buf->size(),
+                   info.file_offset + sizeof(FrameHeader))) {
+    return false;
+  }
+  *read_ok = true;
+  uint32_t payload_crc = 0;
+  const uint8_t* p = buf->data();
+  for (uint64_t i = 0; i < info.block_count; ++i, p += rec) {
+    uint32_t stored = 0;
+    std::memcpy(&stored, p + rec - 4, 4);
+    uint64_t idx = 0;
+    std::memcpy(&idx, p, 8);
+    if (stored != crc32(p, rec - 4) || idx >= nr_blocks) return false;
+    payload_crc = crc32(&stored, 4, payload_crc);
+  }
+  FrameFooter ff;
+  std::memcpy(&ff, buf->data() + buf->size() - sizeof(ff), sizeof(ff));
+  return ff.marker == kFooterMarker && ff.epoch == info.epoch &&
+         ff.frame_bytes == info.frame_bytes &&
+         ff.payload_crc == payload_crc &&
+         ff.footer_crc == crc32(&ff, offsetof(FrameFooter, footer_crc));
 }
 
 int ArchiveReader::index_of(uint64_t epoch) const {
@@ -325,11 +366,7 @@ bool ArchiveReader::apply_records_parallel(
       }
     }
   };
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (uint32_t w = 1; w < workers; ++w) pool.emplace_back(sweep, w);
-  sweep(0);
-  for (auto& t : pool) t.join();
+  run_workers(workers, sweep);
   uint64_t max_ns = 0;
   for (auto& ns : shard_ns) {
     const uint64_t v = ns.load(std::memory_order_relaxed);
@@ -372,31 +409,48 @@ bool ArchiveReader::apply_span(const uint8_t* recs, uint64_t block_count,
   return ok;
 }
 
-bool ArchiveReader::load_records(const EpochInfo& info,
-                                 std::vector<uint8_t>* recs,
-                                 std::string* err) const {
-  const uint64_t rec = record_bytes(scan_.header.block_size);
+const char* ArchiveReader::load_frame(const EpochInfo& info,
+                                      std::vector<uint8_t>* coded,
+                                      LoadedFrame* f) const {
   if (is_coded_kind(info.kind)) {
-    std::vector<uint8_t> buf(info.frame_bytes);
-    if (!pread_exact(fd_, buf.data(), buf.size(), info.file_offset)) {
-      if (err) *err = "archive read failed while applying coded frame";
-      return false;
+    coded->resize(info.frame_bytes);
+    if (!pread_exact(fd_, coded->data(), coded->size(), info.file_offset)) {
+      return "archive read failed while applying coded frame";
     }
-    std::vector<uint8_t> plain;
-    if (!tier::decode_frame(buf.data(), buf.size(), &plain)) {
-      if (err) *err = "coded frame failed CRC verification or decode";
-      return false;
+    if (!tier::decode_frame(coded->data(), coded->size(), &f->buf)) {
+      return "coded frame failed CRC verification or decode";
     }
-    recs->assign(plain.begin() + sizeof(FrameHeader),
-                 plain.begin() + sizeof(FrameHeader) +
-                     static_cast<ptrdiff_t>(info.block_count * rec));
-    return true;
+    f->recs = f->buf.data() + sizeof(FrameHeader);
+    return nullptr;
   }
-  recs->resize(info.block_count * rec);
-  if (!pread_exact(fd_, recs->data(), recs->size(),
+  f->buf.resize(info.block_count * record_bytes(scan_.header.block_size));
+  if (!pread_exact(fd_, f->buf.data(), f->buf.size(),
                    info.file_offset + sizeof(FrameHeader))) {
-    if (err) *err = "archive read failed while applying epoch frame";
-    return false;
+    return "archive read failed while applying epoch frame";
+  }
+  f->recs = f->buf.data();
+  return nullptr;
+}
+
+bool ArchiveReader::load_frames(const std::vector<EpochInfo>& frames,
+                                size_t first, size_t last, uint32_t workers,
+                                std::vector<LoadedFrame>* out,
+                                std::string* err) const {
+  out->resize(last - first);
+  // Per frame, why it failed: the earliest failure in chain order is the
+  // one reported, as a front-to-back load would.
+  std::vector<const char*> why(last - first, nullptr);
+  workers = pool_size(workers);
+  std::vector<std::vector<uint8_t>> coded(workers);
+  claim_each(last - first, workers, [&](uint64_t k, uint32_t self) {
+    why[k] = load_frame(frames[first + k], &coded[self], &(*out)[k]);
+    return why[k] == nullptr;
+  });
+  for (const char* w : why) {
+    if (w != nullptr) {
+      if (err) *err = w;
+      return false;
+    }
   }
   return true;
 }
@@ -430,16 +484,6 @@ bool ArchiveReader::chain(uint64_t epoch, std::vector<EpochInfo>* frames,
   return true;
 }
 
-bool ArchiveReader::apply_frame(const EpochInfo& info,
-                                std::vector<uint8_t>* image,
-                                std::string* err, uint32_t workers,
-                                RestorePerf* perf) const {
-  std::vector<uint8_t> recs;
-  if (!load_records(info, &recs, err)) return false;
-  return apply_span(recs.data(), info.block_count, workers, image, err,
-                    perf);
-}
-
 bool ArchiveReader::state_at(uint64_t epoch, std::vector<uint8_t>* image,
                              std::array<uint64_t, kNumRoots>* roots,
                              std::string* err) const {
@@ -450,36 +494,30 @@ bool ArchiveReader::state_at(uint64_t epoch, std::vector<uint8_t>* image,
                              std::array<uint64_t, kNumRoots>* roots,
                              std::string* err, uint32_t workers,
                              RestorePerf* perf) const {
-  if (!scan_.valid) {
-    if (err) *err = "not a valid snapshot archive";
-    return false;
-  }
-  int start = chain_start(epoch);
-  if (start < 0) {
-    if (err) {
-      *err = "epoch " + std::to_string(epoch) +
-             " is not restorable from this archive (missing, corrupt, or "
-             "its delta chain is broken)";
-    }
-    return false;
-  }
-  if (workers == 0) workers = 1;
+  std::vector<EpochInfo> frames;
+  if (!chain(epoch, &frames, err)) return false;
+  workers = pool_size(workers);
   if (perf != nullptr) perf->workers = workers;
   image->assign(scan_.header.region_size, 0);
-  int target = index_of(epoch);
-  for (int j = start; j <= target; ++j) {
-    if (!apply_frame(scan_.epochs[j], image, err, workers, perf)) {
+  // Decode one window ahead, then apply it in chain order; the window's
+  // buffers are reused by the next one.
+  const size_t window = size_t{workers} * kDecodeAheadPerWorker;
+  std::vector<LoadedFrame> loaded;
+  for (size_t first = 0; first < frames.size(); first += window) {
+    const size_t last = std::min(first + window, frames.size());
+    if (!load_frames(frames, first, last, workers, &loaded, err)) {
       return false;
+    }
+    for (size_t k = first; k < last; ++k) {
+      if (!apply_span(loaded[k - first].recs, frames[k].block_count,
+                      workers, image, err, perf)) {
+        return false;
+      }
     }
   }
-  if (roots != nullptr) {
-    FrameHeader fh;
-    if (!pread_exact(fd_, &fh, sizeof(fh),
-                     scan_.epochs[target].file_offset)) {
-      if (err) *err = "archive read failed while loading roots";
-      return false;
-    }
-    std::memcpy(roots->data(), fh.roots, sizeof(fh.roots));
+  if (roots != nullptr && !frame_roots(frames.back(), roots)) {
+    if (err) *err = "archive read failed while loading roots";
+    return false;
   }
   return true;
 }

@@ -63,7 +63,11 @@ struct RestorePerf {
 
 class ArchiveReader {
  public:
-  explicit ArchiveReader(const std::string& path);
+  // `scan_workers` > 1 fans the scan's per-frame body check (record and
+  // footer CRCs, or a coded frame's encoded CRC) out over that many
+  // threads, the caller included; verdicts and warnings equal the
+  // single-threaded scan's.
+  explicit ArchiveReader(const std::string& path, uint32_t scan_workers = 1);
   ~ArchiveReader();
 
   ArchiveReader(const ArchiveReader&) = delete;
@@ -88,12 +92,16 @@ class ArchiveReader {
                 std::array<uint64_t, kNumRoots>* roots,
                 std::string* err) const;
 
-  // Parallel variant: `workers` threads shard the record apply by owning
-  // segment (seg % workers) with work stealing, each worker re-verifying
-  // the CRC of every record it applies, so corruption is pinned to the
-  // shard that owns it. Block indices are unique within a frame, so the
-  // sharded memcpys never alias. workers <= 1 is the serial path. `perf`
-  // (may be null) accumulates thread-CPU apply cost for benchmarking.
+  // Parallel variant: the chain loader decodes a window of
+  // kDecodeAheadPerWorker * workers frames ahead (the most it holds
+  // decoded at once), then the window's frames are applied in chain
+  // order. `workers` threads shard each frame's record apply by
+  // owning segment (seg % workers) with work stealing, each worker
+  // re-verifying the CRC of every record it applies, so corruption is
+  // pinned to the shard that owns it. Block indices are unique within a
+  // frame, so the sharded memcpys never alias. workers <= 1 is the serial
+  // path. `perf` (may be null) accumulates thread-CPU apply cost for
+  // benchmarking.
   bool state_at(uint64_t epoch, std::vector<uint8_t>* image,
                 std::array<uint64_t, kNumRoots>* roots, std::string* err,
                 uint32_t workers, RestorePerf* perf) const;
@@ -105,26 +113,46 @@ class ArchiveReader {
   bool chain(uint64_t epoch, std::vector<EpochInfo>* frames,
              std::string* err) const;
 
-  // Loads frame `info`'s record region (decoding coded frames first) into
-  // `recs`: block_count records of record_bytes(block_size) bytes each.
-  bool load_records(const EpochInfo& info, std::vector<uint8_t>* recs,
-                    std::string* err) const;
+  // One chain frame as a restore works from it: `recs` points at its
+  // block_count records (record_bytes(block_size) bytes each) inside
+  // `buf`, which holds the decoded plain frame of a coded frame and the
+  // record region of a plain one.
+  struct LoadedFrame {
+    std::vector<uint8_t> buf;
+    const uint8_t* recs = nullptr;
+  };
+
+  // The chain loader: reads frames[first, last) into out[0, last - first),
+  // each exactly once, over `workers` threads claiming frames off a
+  // shared cursor, the caller included (<= 1 runs inline). A coded frame
+  // passes its encoded CRC, is decoded once and passes its raw CRC; a
+  // plain frame's record CRCs were checked by the scan. Buffers already in
+  // `out` are reused. False with `err` on a read or check failure.
+  bool load_frames(const std::vector<EpochInfo>& frames, size_t first,
+                   size_t last, uint32_t workers,
+                   std::vector<LoadedFrame>* out, std::string* err) const;
+
+  // Decoded frames the blocking state_at holds per worker.
+  static constexpr uint32_t kDecodeAheadPerWorker = 2;
 
   // Reads the committed roots stored in frame `info`'s header.
   bool frame_roots(const EpochInfo& info,
                    std::array<uint64_t, kNumRoots>* roots) const;
 
  private:
-  void run_scan(const std::string& path);
+  void run_scan(const std::string& path, uint32_t workers);
+  // The scan's body check of frame `info`, read into `buf`: false in
+  // *read_ok when the body could not be read, else whether every CRC
+  // verifies.
+  bool body_intact(const EpochInfo& info, std::vector<uint8_t>* buf,
+                   bool* read_ok) const;
+  // Reads and checks one chain frame, a coded one through `coded`; null
+  // on success, else why not.
+  const char* load_frame(const EpochInfo& info, std::vector<uint8_t>* coded,
+                         LoadedFrame* f) const;
   // Index into scan_.epochs of the chain start for `epoch`, or -1.
   int chain_start(uint64_t epoch) const;
   int index_of(uint64_t epoch) const;
-  // Applies the records of frame `info` to `image` (decoding coded frames
-  // first); returns false on CRC or I/O failure (the scan may have raced a
-  // concurrent writer's truncation).
-  bool apply_frame(const EpochInfo& info, std::vector<uint8_t>* image,
-                   std::string* err, uint32_t workers,
-                   RestorePerf* perf) const;
   // Record-region apply shared by the plain and decoded paths; dispatches
   // to the serial or sharded implementation and accounts `perf`.
   bool apply_span(const uint8_t* recs, uint64_t block_count,

@@ -8,8 +8,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
+#include "snapshot/workers.h"
 #include "tier/cold.h"
 #include "util/logging.h"
 
@@ -147,36 +147,24 @@ void LazyRestorer::ensure_range(uint64_t off, uint64_t len) {
 
 void LazyRestorer::materialize_all(uint32_t workers) {
   if (!ok_) return;
-  std::atomic<uint64_t> cursor{0};
-  auto sweep = [&]() {
-    for (;;) {
-      const uint64_t ci = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (ci >= nr_chunks_) break;
-      materialize(ci);
-      if (throttle_us_ > 0) ::usleep(static_cast<useconds_t>(throttle_us_));
-    }
-  };
-  if (workers <= 1) {
-    sweep();
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (uint32_t w = 1; w < workers; ++w) pool.emplace_back(sweep);
-  sweep();
-  for (auto& t : pool) t.join();
+  claim_each(nr_chunks_, workers, [&](uint64_t ci, uint32_t) {
+    materialize(ci);
+    if (throttle_us_ > 0) ::usleep(static_cast<useconds_t>(throttle_us_));
+    return true;
+  });
 }
 
 bool LazyRestorer::start(const std::string& archive_path, uint64_t epoch,
                          const CrpmOptions& opt) {
   CRPM_CHECK(write_base_ == nullptr, "LazyRestorer::start called twice");
-  (void)opt;  // geometry comes from the archive header; opt gates finish
+  // Geometry comes from the archive header; opt sizes the worker pool.
+  const uint32_t workers = pool_size(opt.restore_workers);
   uint64_t target = epoch;
   std::vector<EpochInfo> chain;
   bool have = false;
   std::string hot_error;
   std::unique_ptr<ArchiveReader> cold_reader;
-  ArchiveReader reader(archive_path);
+  ArchiveReader reader(archive_path, workers);
   const ArchiveReader* src = &reader;
   warnings_ = reader.scan().warnings;
   if (!reader.ok()) {
@@ -207,7 +195,7 @@ bool LazyRestorer::start(const std::string& archive_path, uint64_t epoch,
     auto entries = tier::ColdTier::list_for_archive(archive_path);
     for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
       if (epoch != Container::kLatestEpoch && it->epoch != epoch) continue;
-      cold_reader = std::make_unique<ArchiveReader>(it->path);
+      cold_reader = std::make_unique<ArchiveReader>(it->path, workers);
       std::string cerr;
       if (cold_reader->ok() &&
           cold_reader->chain(it->epoch, &chain, &cerr)) {
@@ -238,14 +226,14 @@ bool LazyRestorer::start(const std::string& archive_path, uint64_t epoch,
     return false;
   }
 
-  // Stage the chain's record regions in DRAM. Their CRCs were verified by
-  // the scan (and by the decode, for coded frames), so the per-chunk apply
-  // can run from a signal handler without re-hashing.
-  frames_.reserve(chain.size());
-  for (const EpochInfo& f : chain) {
-    std::vector<uint8_t> recs;
-    if (!src->load_records(f, &recs, &error_)) return false;
-    frames_.push_back(std::move(recs));
+  // Stage the chain in DRAM through the chain loader: each frame is read
+  // and decoded once, and the per-chunk apply works from the decoded
+  // frames. Their CRCs were verified by the scan (and by the decode, for
+  // coded frames), so that apply can run from a signal handler without
+  // re-hashing.
+  if (!src->load_frames(chain, 0, chain.size(), workers, &frames_,
+                        &error_)) {
+    return false;
   }
 
   // Build the per-chunk apply plans. A block never straddles chunks:
@@ -253,7 +241,7 @@ bool LazyRestorer::start(const std::string& archive_path, uint64_t epoch,
   const uint64_t rec = record_bytes(block_size_);
   plans_.assign(nr_chunks_, Plan{});
   for (size_t fi = 0; fi < frames_.size(); ++fi) {
-    const uint8_t* base = frames_[fi].data();
+    const uint8_t* base = frames_[fi].recs;
     for (uint64_t i = 0; i < chain[fi].block_count; ++i) {
       const uint8_t* p = base + i * rec;
       uint64_t idx = 0;
@@ -341,10 +329,7 @@ RestoreResult LazyRestorer::finish_file(const std::string& container_path,
     r.error = error_.empty() ? "lazy restore was not started" : error_;
     return r;
   }
-  uint32_t workers = opt.restore_workers > kMaxRestoreWorkers
-                         ? kMaxRestoreWorkers
-                         : opt.restore_workers;
-  materialize_all(workers == 0 ? 1 : workers);
+  materialize_all(pool_size(opt.restore_workers));
   r = build_container_file(write_base_, region_size_, roots_, epoch_,
                            container_path, opt);
   r.warnings.insert(r.warnings.begin(), warnings_.begin(), warnings_.end());

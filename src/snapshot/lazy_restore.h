@@ -117,7 +117,7 @@ class LazyRestorer {
   uint8_t* write_base_ = nullptr;  // always-RW apply view
   uint8_t* read_base_ = nullptr;   // PROT_NONE -> PROT_READ consumer view
 
-  std::vector<std::vector<uint8_t>> frames_;  // staged record regions
+  std::vector<ArchiveReader::LoadedFrame> frames_;  // the staged chain
   std::vector<Plan> plans_;
   std::unique_ptr<std::atomic<uint8_t>[]> chunk_state_;
   std::atomic<uint64_t> ready_chunks_{0};

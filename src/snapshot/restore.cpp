@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "snapshot/workers.h"
 #include "tier/cold.h"
 #include "util/durable_file.h"
 
@@ -33,12 +34,19 @@ bool region_matches(const CrpmOptions& ropt, uint64_t size, std::string* err) {
   return false;
 }
 
-// Formats the pristine container `c` from `image` + `roots`: the whole
-// image is one annotated store, then one checkpoint commits it as the
-// container's first epoch.
-bool format_from_image(Container& c, const uint8_t* image, uint64_t size,
-                       const std::array<uint64_t, kNumRoots>& roots,
-                       std::string* err) {
+// Formats the pristine container `c` from `image` + `roots` at the
+// archived epoch `epoch`, so that it resumes the archive's epoch sequence
+// and a reattached archive writer drops no archived frame:
+//   1. the whole image is one annotated store, committed as epoch 1;
+//   2. state-identical filler checkpoints (touching a root with its own
+//      value defeats the empty-checkpoint skip) run until the committed
+//      epoch has `epoch`'s residue mod the metadata replica count, which
+//      selects the live roots/seg_state copy;
+//   3. renumber_epoch relabels the commit as `epoch`.
+// An epoch of 0 (unknown) leaves the image at epoch 1.
+bool format_at_epoch(Container& c, const uint8_t* image, uint64_t size,
+                     const std::array<uint64_t, kNumRoots>& roots,
+                     uint64_t epoch, std::string* err) {
   if (!c.was_fresh()) {
     *err = "restore target device is not pristine";
     return false;
@@ -47,6 +55,15 @@ bool format_from_image(Container& c, const uint8_t* image, uint64_t size,
   std::memcpy(c.data(), image, size);
   for (uint32_t s = 0; s < kNumRoots; ++s) c.set_root(s, roots[s]);
   c.checkpoint();
+  c.wait_committed();
+  const uint64_t replicas = c.geometry().meta_replicas();
+  while (epoch > c.committed_epoch() &&
+         (epoch - c.committed_epoch()) % replicas != 0) {
+    c.set_root(0, c.get_root(0));
+    c.checkpoint();
+    c.wait_committed();
+  }
+  if (epoch > c.committed_epoch()) c.renumber_epoch(epoch);
   return true;
 }
 
@@ -85,7 +102,7 @@ bool read_cold_state(const std::string& archive_path, uint64_t epoch,
   auto entries = tier::ColdTier::list_for_archive(archive_path);
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     if (epoch != Container::kLatestEpoch && it->epoch != epoch) continue;
-    ArchiveReader cr(it->path);
+    ArchiveReader cr(it->path, workers);
     std::string cerr;
     if (cr.ok() && cr.state_at(it->epoch, image, roots, &cerr, workers,
                                perf)) {
@@ -105,10 +122,10 @@ bool load_state(const std::string& archive_path, uint64_t epoch,
                 std::array<uint64_t, kNumRoots>* roots, uint64_t* chosen,
                 std::vector<std::string>* warnings, RestorePerf* perf,
                 std::string* err) {
-  if (workers > kMaxRestoreWorkers) workers = kMaxRestoreWorkers;
+  workers = pool_size(workers);
   std::string hot_error;
   {
-    ArchiveReader reader(archive_path);
+    ArchiveReader reader(archive_path, workers);
     *warnings = reader.scan().warnings;
     uint64_t target = epoch;
     if (!reader.ok()) {
@@ -141,10 +158,10 @@ bool load_state(const std::string& archive_path, uint64_t epoch,
   return false;
 }
 
+// Restores `epoch` onto the pristine `dev` at its archived epoch. The
+// container in the result is the one that formatted `dev`.
 RestoreResult restore_impl(const std::string& archive_path, uint64_t epoch,
-                           NvmDevice* dev,
-                           std::unique_ptr<NvmDevice> owned_dev,
-                           const CrpmOptions& opt) {
+                           NvmDevice* dev, const CrpmOptions& opt) {
   RestoreResult r;
   std::vector<uint8_t> image;
   std::array<uint64_t, kNumRoots> roots{};
@@ -157,10 +174,9 @@ RestoreResult restore_impl(const std::string& archive_path, uint64_t epoch,
 
   const CrpmOptions ropt = restore_options(opt);
   if (!region_matches(ropt, image.size(), &r.error)) return r;
-  std::unique_ptr<Container> c =
-      owned_dev != nullptr ? Container::open(std::move(owned_dev), ropt)
-                           : Container::open(dev, ropt);
-  if (!format_from_image(*c, image.data(), image.size(), roots, &r.error)) {
+  std::unique_ptr<Container> c = Container::open(dev, ropt);
+  if (!format_at_epoch(*c, image.data(), image.size(), roots, target,
+                       &r.error)) {
     return r;
   }
   step("restore.container");
@@ -195,7 +211,7 @@ RestoreResult build_container_file(
         std::make_unique<FileNvmDevice>(tmp,
                                         Container::required_device_size(ropt)),
         ropt);
-    if (!format_from_image(*c, image, size, roots, &r.error)) {
+    if (!format_at_epoch(*c, image, size, roots, epoch, &r.error)) {
       std::remove(tmp.c_str());
       return r;
     }
@@ -203,15 +219,27 @@ RestoreResult build_container_file(
   return publish_container(std::move(r), tmp, container_path, ropt);
 }
 
+// renumber_epoch moves the committed epoch, not an async pipeline's
+// capture cursor, so an async restored container is handed back reopened.
 RestoreResult restore(const std::string& archive_path, uint64_t epoch,
                       NvmDevice* dev, const CrpmOptions& opt) {
-  return restore_impl(archive_path, epoch, dev, nullptr, opt);
+  RestoreResult r = restore_impl(archive_path, epoch, dev, opt);
+  if (r.container != nullptr && opt.async_checkpoint) {
+    r.container.reset();
+    r.container = Container::open(dev, restore_options(opt));
+  }
+  return r;
 }
 
 RestoreResult restore(const std::string& archive_path, uint64_t epoch,
                       std::unique_ptr<NvmDevice> dev,
                       const CrpmOptions& opt) {
-  return restore_impl(archive_path, epoch, nullptr, std::move(dev), opt);
+  RestoreResult r = restore_impl(archive_path, epoch, dev.get(), opt);
+  if (r.container != nullptr) {
+    r.container.reset();
+    r.container = Container::open(std::move(dev), restore_options(opt));
+  }
+  return r;
 }
 
 RestoreResult restore_file(const std::string& archive_path, uint64_t epoch,
@@ -219,16 +247,18 @@ RestoreResult restore_file(const std::string& archive_path, uint64_t epoch,
                            const CrpmOptions& opt) {
   const std::string tmp = container_path + ".restoring";
   std::remove(tmp.c_str());
-  RestoreResult r = restore(
-      archive_path, epoch,
-      std::make_unique<FileNvmDevice>(tmp,
-                                      Container::required_device_size(opt)),
-      opt);
-  if (r.container == nullptr) {
+  RestoreResult r;
+  bool restored = false;
+  {
+    FileNvmDevice dev(tmp, Container::required_device_size(opt));
+    r = restore_impl(archive_path, epoch, &dev, opt);
+    restored = r.container != nullptr;
+    r.container.reset();  // unmaps the side file before it is published
+  }
+  if (!restored) {
     std::remove(tmp.c_str());
     return r;
   }
-  r.container.reset();  // unmaps the side file before it is published
   return publish_container(std::move(r), tmp, container_path,
                            restore_options(opt));
 }

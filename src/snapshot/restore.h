@@ -7,13 +7,18 @@
 // of the requested epoch from the archive (base frame + delta chain),
 // formats a fresh container on the supplied device, copies the image in as
 // annotated working state, re-installs the epoch's committed roots, and
-// commits one checkpoint — yielding a container whose working state is
-// bit-identical to the archived epoch's.
+// commits it at the archived epoch number — yielding a container whose
+// working state is bit-identical to the archived epoch's and whose next
+// commit extends the archive's epoch sequence. "Format at epoch e" is one
+// checkpoint of the image, state-identical filler checkpoints until the
+// committed epoch has e's residue mod the metadata replica count, then
+// Container::renumber_epoch(e).
 //
-// opt.restore_workers > 1 shards the record apply across a worker pool
-// (segment-sharded with work stealing, per-shard CRC re-verification); the
-// DRAM image build parallelizes while the container format/checkpoint that
-// follows stays deterministic.
+// opt.restore_workers > 1 runs the archive scan's body checks, the chain
+// loader's read + decode of each frame, and the record apply (segment-
+// sharded with work stealing, per-shard CRC re-verification) on that many
+// threads; the container format/checkpoint that follows stays
+// deterministic.
 #pragma once
 
 #include <array>
@@ -61,9 +66,8 @@ RestoreResult restore_file(const std::string& archive_path, uint64_t epoch,
 // Builds a crash-atomic container file at `container_path` from an
 // in-memory image + roots (the tail of restore_file, shared with
 // LazyRestorer::finish_file): format a fresh container on
-// `<container_path>.restoring`, commit the image as its first epoch,
-// publish it into place the same way, and reopen. `epoch` only labels the
-// result.
+// `<container_path>.restoring` at archived epoch `epoch` (0 commits the
+// image as epoch 1), publish it into place the same way, and reopen.
 RestoreResult build_container_file(const uint8_t* image, uint64_t size,
                                    const std::array<uint64_t, kNumRoots>& roots,
                                    uint64_t epoch,

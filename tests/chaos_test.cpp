@@ -104,9 +104,10 @@ TEST(ChaosEnumeration, CensusIsPinned) {
        {{"ckpt.commit", 6}, {"ckpt.flush", 247}, {"ckpt.stage", 12},
         {"cow.data", 344}, {"cow.flip", 56}, {"cow.pair", 15},
         {"format", 13}}},
-      {"recovery",  // 38
+      {"recovery",  // 40: the restore commits at the archived epoch
        {{"ckpt.commit", 2}, {"ckpt.flush", 2}, {"ckpt.stage", 4},
-        {"format", 13}, {"lazy.chunk", 4}, {"lazy.plan", 1},
+        {"commit.renumber", 2}, {"format", 13}, {"lazy.chunk", 4},
+        {"lazy.plan", 1},
         {"restore.container", 1}, {"restore.image", 1},
         {"restore.renamed", 2}, {"restore.synced", 2}, {"restore.tmp", 2},
         {"scrub.archive", 1}, {"scrub.cold", 1}, {"scrub.container", 1},

@@ -1,9 +1,11 @@
-// Property test for the sharded restore apply: across randomized
-// epoch/segment geometries, the parallel record apply must reproduce the
-// serial one byte for byte — which in turn must reproduce the recorded
-// golden state — for every restorable epoch, at every worker count, and
-// through the corrupt-frame fallback. The worker pool only reorders the
-// apply; any divergence is a sharding or stealing bug.
+// Property test for the parallel restore paths: across randomized
+// epoch/segment geometries, plain and lzb-coded chains, the parallel chain
+// loader and record apply must reproduce the serial ones byte for byte —
+// which in turn must reproduce the recorded golden state — for every
+// restorable epoch, at every worker count, on the blocking and the lazy
+// path, and through the corrupt-frame fallbacks. The worker pool only
+// reorders the loads and the apply; any divergence is a sharding,
+// stealing or claiming bug.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,8 +19,10 @@
 #include "core/container.h"
 #include "nvm/device.h"
 #include "snapshot/archive.h"
+#include "snapshot/lazy_restore.h"
 #include "snapshot/restore.h"
 #include "snapshot/writer.h"
+#include "tier/codec.h"
 #include "util/rng.h"
 
 namespace crpm {
@@ -69,14 +73,19 @@ struct EpochRecord {
 };
 
 // Archives `g.epochs` epochs of a seeded random workload and returns the
-// reference state after each commit (index e-1 holds epoch e).
+// reference state after each commit (index e-1 holds epoch e). `coded`
+// archives through the lzb codec and writes byte runs, which it
+// compresses, instead of noise, which it would append as plain frames.
 std::vector<EpochRecord> build_archive(const Geometry& g,
-                                       const std::string& path) {
+                                       const std::string& path,
+                                       bool coded = false) {
   const CrpmOptions opt = opts_for(g);
   auto c = Container::open(
       std::make_unique<HeapNvmDevice>(Container::required_device_size(opt)),
       opt);
-  snapshot::ArchiveWriter w(path);
+  snapshot::SnapshotOptions so;
+  if (coded) so.tier.codec = tier::kCodecLzb;
+  snapshot::ArchiveWriter w(path, so);
   w.attach(*c);
   Xoshiro256 rng(g.seed);
   std::vector<EpochRecord> recs;
@@ -87,8 +96,10 @@ std::vector<EpochRecord> build_archive(const Geometry& g,
       if (len > g.region) len = g.region;
       uint64_t off = rng.next_below(g.region - len + 1);
       c->annotate(c->data() + off, len);
+      const auto run_byte = static_cast<uint8_t>(rng.next());
       for (uint64_t i = 0; i < len; ++i) {
-        c->data()[off + i] = static_cast<uint8_t>(rng.next());
+        c->data()[off + i] =
+            coded ? run_byte : static_cast<uint8_t>(rng.next());
       }
     }
     c->set_root(0, e * 1000);
@@ -104,17 +115,80 @@ std::vector<EpochRecord> build_archive(const Geometry& g,
   return recs;
 }
 
+// Threads of this process, from /proc/self/status.
+int thread_count() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  int n = -1;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "Threads: %d", &n) == 1) break;
+  }
+  std::fclose(f);
+  return n;
+}
+
+// What one restore of epoch `e` produced: blocking_outcome runs
+// read_state, lazy_outcome restore_lazy and then materialize_all.
+struct Outcome {
+  bool ok = false;
+  std::string error;
+  std::vector<uint8_t> image;
+  std::array<uint64_t, kNumRoots> roots{};
+};
+
+Outcome blocking_outcome(const std::string& path, uint64_t e,
+                         uint32_t workers) {
+  Outcome o;
+  o.ok = snapshot::read_state(path, e, &o.image, &o.roots, &o.error, workers);
+  return o;
+}
+
+Outcome lazy_outcome(const std::string& path, uint64_t e, CrpmOptions opt,
+                     uint32_t workers) {
+  opt.restore_workers = workers;
+  auto lz = snapshot::restore_lazy(path, e, opt);
+  Outcome o;
+  o.ok = lz->ok();
+  o.error = lz->error();
+  if (o.ok) {
+    lz->materialize_all(workers);
+    o.image.assign(lz->data(), lz->data() + lz->size());
+    o.roots = lz->roots();
+  }
+  return o;
+}
+
+// Same verdict, same error, and on success the same image and roots.
+void expect_same(const Outcome& got, const Outcome& want, const char* what) {
+  EXPECT_EQ(got.ok, want.ok) << what << ": " << got.error;
+  EXPECT_EQ(got.error, want.error) << what;
+  if (!got.ok || !want.ok) return;
+  EXPECT_EQ(got.image, want.image) << what;
+  EXPECT_EQ(got.roots, want.roots) << what;
+}
+
 TEST(RestoreParallel, MatchesSerialAndGoldenAcrossRandomGeometries) {
   Xoshiro256 meta_rng(20260808);
-  for (int trial = 0; trial < 6; ++trial) {
-    const Geometry g = draw_geometry(meta_rng);
+  Xoshiro256 coded_rng(20261019);
+  for (int trial = 0; trial < 12; ++trial) {
+    const bool coded = trial >= 6;
+    const Geometry g = draw_geometry(coded ? coded_rng : meta_rng);
     SCOPED_TRACE("segment=" + std::to_string(g.segment_size) +
                  " block=" + std::to_string(g.block_size) +
                  " region=" + std::to_string(g.region) +
                  " epochs=" + std::to_string(g.epochs) +
-                 " seed=" + std::to_string(g.seed));
+                 " seed=" + std::to_string(g.seed) +
+                 (coded ? " lzb" : " plain"));
     const std::string path = temp_archive("prop" + std::to_string(trial));
-    const std::vector<EpochRecord> recs = build_archive(g, path);
+    const std::vector<EpochRecord> recs = build_archive(g, path, coded);
+    if (coded) {
+      snapshot::ArchiveReader reader(path);
+      ASSERT_TRUE(reader.ok());
+      uint64_t coded_frames = 0;
+      for (const auto& f : reader.scan().epochs) coded_frames += f.codec != 0;
+      ASSERT_GT(coded_frames, 0u) << "the workload must produce coded frames";
+    }
 
     for (uint64_t e = 1; e <= g.epochs; ++e) {
       std::vector<uint8_t> serial_image;
@@ -144,6 +218,9 @@ TEST(RestoreParallel, MatchesSerialAndGoldenAcrossRandomGeometries) {
         EXPECT_GE(perf.apply_ns_total, perf.apply_ns_critical)
             << "the critical path cannot exceed the summed thread CPU";
       }
+      const Outcome serial{true, {}, serial_image, serial_roots};
+      expect_same(lazy_outcome(path, e, opts_for(g), 0), serial, "lazy x1");
+      expect_same(lazy_outcome(path, e, opts_for(g), 4), serial, "lazy x4");
     }
     std::filesystem::remove(path);
   }
@@ -232,6 +309,86 @@ TEST(RestoreParallel, CorruptFrameFallbackMatchesSerial) {
   EXPECT_EQ(std::memcmp(par.container->data(), want.image.data(),
                         want.image.size()),
             0);
+  std::filesystem::remove(path);
+}
+
+// A coded frame whose extent carries a wrong raw CRC, with the extent CRC
+// recomputed: the scan (encoded CRC only) passes it, so only the decode
+// check can catch it. Every chain through it must fail on both paths,
+// in parallel exactly as serially, and leave no worker running.
+TEST(RestoreParallel, WrongRawCrcFailsOnlyAtDecodeOnBothPaths) {
+  Geometry g;
+  g.segment_size = 1024;
+  g.block_size = 128;
+  g.region = 16 * 1024;
+  g.epochs = 6;
+  g.seed = 99;
+  const std::string path = temp_archive("rawcrc");
+  const std::vector<EpochRecord> recs = build_archive(g, path, true);
+
+  uint64_t bad_epoch = 0;
+  {
+    snapshot::ArchiveReader reader(path);
+    ASSERT_TRUE(reader.ok());
+    for (const auto& f : reader.scan().epochs) {
+      if (f.codec != 0 && f.epoch > 1 && f.epoch < g.epochs) {
+        bad_epoch = f.epoch;
+        const auto at = static_cast<long>(f.file_offset +
+                                          sizeof(snapshot::FrameHeader));
+        std::FILE* file = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(file, nullptr);
+        snapshot::CodedExtent ce;
+        ASSERT_EQ(std::fseek(file, at, SEEK_SET), 0);
+        ASSERT_EQ(std::fread(&ce, sizeof(ce), 1, file), 1u);
+        ce.raw_crc ^= 0x1;
+        ce.extent_crc =
+            crc32(&ce, offsetof(snapshot::CodedExtent, extent_crc));
+        ASSERT_EQ(std::fseek(file, at, SEEK_SET), 0);
+        ASSERT_EQ(std::fwrite(&ce, sizeof(ce), 1, file), 1u);
+        std::fclose(file);
+        break;
+      }
+    }
+  }
+  ASSERT_NE(bad_epoch, 0u) << "no coded frame mid-chain to damage";
+  {
+    snapshot::ArchiveReader reader(path);
+    ASSERT_TRUE(reader.ok());
+    EXPECT_TRUE(reader.scan().warnings.empty())
+        << "the scan must not see the damage: "
+        << reader.scan().warnings.front();
+    uint64_t latest = 0;
+    ASSERT_TRUE(reader.latest_restorable(&latest));
+    EXPECT_EQ(latest, g.epochs);
+  }
+
+  const int threads_before = thread_count();
+  for (uint64_t e = 1; e <= g.epochs; ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    const Outcome serial = blocking_outcome(path, e, 1);
+    if (e < bad_epoch) {
+      ASSERT_TRUE(serial.ok) << serial.error;
+      EXPECT_EQ(serial.image, recs[e - 1].image);
+    } else {
+      EXPECT_FALSE(serial.ok);
+      EXPECT_NE(serial.error.find("failed CRC verification or decode"),
+                std::string::npos)
+          << serial.error;
+    }
+    for (uint32_t workers : {2u, 4u, 8u}) {
+      expect_same(blocking_outcome(path, e, workers), serial, "blocking");
+    }
+    expect_same(lazy_outcome(path, e, opts_for(g), 0), serial, "lazy x1");
+    expect_same(lazy_outcome(path, e, opts_for(g), 4), serial, "lazy x4");
+  }
+  // Latest: no cold tier to fall back to, so every path fails alike.
+  const Outcome latest = blocking_outcome(path, Container::kLatestEpoch, 1);
+  EXPECT_FALSE(latest.ok);
+  expect_same(blocking_outcome(path, Container::kLatestEpoch, 4), latest,
+              "blocking latest x4");
+  expect_same(lazy_outcome(path, Container::kLatestEpoch, opts_for(g), 4),
+              latest, "lazy latest x4");
+  EXPECT_EQ(thread_count(), threads_before) << "a restore worker outlived it";
   std::filesystem::remove(path);
 }
 

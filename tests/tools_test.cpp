@@ -3,6 +3,8 @@
 // verdicts. The binary path is injected by CMake.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,9 +117,16 @@ TEST(InspectTool, RejectsNonContainerFile) {
 
 // --- archive and replication subcommands ---------------------------------
 
+// Each case captures the tool's output in its own file, named after the
+// running test and the process: ctest runs the cases as parallel
+// processes, and two build trees may test at once.
 std::string run_tool(const std::string& args, int* exit_code) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   std::string out_file =
-      (std::filesystem::temp_directory_path() / "crpm_tool_out").string();
+      (std::filesystem::temp_directory_path() /
+       ("crpm_tool_out_" + std::string(info->test_suite_name()) + "_" +
+        info->name() + "_" + std::to_string(::getpid())))
+          .string();
   std::string cmd = std::string(CRPM_INSPECT_BINARY) + " " + args + " > " +
                     out_file + " 2>&1";
   int rc = std::system(cmd.c_str());
