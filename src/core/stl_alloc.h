@@ -8,7 +8,7 @@
 // mutations made by the STL implementation itself are NOT traced — use it
 // for containers whose elements you mutate through crpm::p<T> fields or
 // explicit crpm_annotate() calls, or use the fully-instrumented
-// crpm::PMap / PHashMap / PVector / PRing instead.
+// crpm::PMap / PHashMap instead.
 //
 //   std::vector<double, crpm::CrpmAllocator<double>> v{
 //       crpm::CrpmAllocator<double>(heap)};

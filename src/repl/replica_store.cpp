@@ -10,7 +10,6 @@
 
 #include "snapshot/archive.h"
 #include "snapshot/format.h"
-#include "tier/coded.h"
 #include "tier/cold.h"
 #include "util/durable_file.h"
 #include "util/logging.h"
@@ -18,57 +17,26 @@
 namespace crpm::repl {
 
 using snapshot::ArchiveReader;
-using snapshot::FrameFooter;
-using snapshot::FrameHeader;
 
-bool parse_frame(const uint8_t* frame, size_t len, uint64_t block_size,
-                 uint32_t* kind, uint64_t* epoch) {
-  if (len < sizeof(FrameHeader) + sizeof(FrameFooter)) return false;
-  FrameHeader fh;
-  std::memcpy(&fh, frame, sizeof(fh));
-  if (fh.marker != snapshot::kFrameMarker) return false;
-  if (fh.header_crc !=
-      snapshot::crc32(&fh, offsetof(FrameHeader, header_crc))) {
+namespace {
+
+// The store accepts exactly what its reader marks intact: a frame of
+// `epoch` that passes the frame check under the message's geometry
+// `geom`. The geometry must pass header_valid first, because the check
+// divides by its block size.
+bool acceptable(const snapshot::ArchiveHeader& geom, uint64_t epoch,
+                const uint8_t* frame, size_t len, uint32_t* kind) {
+  snapshot::FrameInfo info;
+  if (!snapshot::header_valid(geom) ||
+      !snapshot::check_frame(frame, len, geom, &info) ||
+      info.epoch != epoch) {
     return false;
   }
-  if (!snapshot::known_kind(fh.kind)) return false;
-  if (snapshot::is_coded_kind(fh.kind)) {
-    // Coded frames arrive in their on-disk (encoded) form; the extent's
-    // dual CRC validates them without a decode, and the raw size must
-    // match the advertised block count so the store's chain bookkeeping
-    // can trust the header.
-    snapshot::CodedExtent ce;
-    if (!tier::coded_frame_valid(frame, len, &ce)) return false;
-    if (ce.raw_bytes != snapshot::frame_bytes(fh.block_count, block_size)) {
-      return false;
-    }
-    *kind = fh.kind;
-    *epoch = fh.epoch;
-    return true;
-  }
-  const uint64_t want = snapshot::frame_bytes(fh.block_count, block_size);
-  if (want != len) return false;
-  const uint64_t rec = snapshot::record_bytes(block_size);
-  const uint8_t* p = frame + sizeof(FrameHeader);
-  uint32_t payload_crc = 0;
-  for (uint64_t i = 0; i < fh.block_count; ++i, p += rec) {
-    uint32_t stored;
-    std::memcpy(&stored, p + 8 + block_size, 4);
-    if (stored != snapshot::crc32(p, 8 + block_size)) return false;
-    payload_crc = snapshot::crc32(&stored, 4, payload_crc);
-  }
-  FrameFooter ff;
-  std::memcpy(&ff, p, sizeof(ff));
-  if (ff.marker != snapshot::kFooterMarker || ff.epoch != fh.epoch ||
-      ff.frame_bytes != len || ff.payload_crc != payload_crc ||
-      ff.footer_crc !=
-          snapshot::crc32(&ff, offsetof(FrameFooter, footer_crc))) {
-    return false;
-  }
-  *kind = fh.kind;
-  *epoch = fh.epoch;
+  *kind = info.kind;
   return true;
 }
+
+}  // namespace
 
 ReplicaStore::ReplicaStore(std::string dir) : dir_(std::move(dir)) {
   if (!durable_file::make_dirs(dir_)) {
@@ -180,9 +148,9 @@ AppendVerdict ReplicaStore::append(int origin, uint64_t epoch,
                                    const uint8_t* frame, size_t len,
                                    bool fsync) {
   uint32_t kind = 0;
-  uint64_t frame_epoch = 0;
-  if (!parse_frame(frame, len, block_size, &kind, &frame_epoch) ||
-      frame_epoch != epoch) {
+  if (!acceptable(snapshot::make_header(block_size, region_size,
+                                        segment_size),
+                  epoch, frame, len, &kind)) {
     return AppendVerdict::kInvalid;
   }
 
@@ -221,19 +189,18 @@ AppendVerdict ReplicaStore::append(int origin, uint64_t epoch,
 bool ReplicaStore::store_cold(int origin, uint64_t epoch,
                               uint64_t block_size, uint64_t region_size,
                               uint64_t segment_size, const uint8_t* frame,
-                              size_t len, uint32_t keep) {
+                              size_t len) {
+  const snapshot::ArchiveHeader h =
+      snapshot::make_header(block_size, region_size, segment_size);
   uint32_t kind = 0;
-  uint64_t frame_epoch = 0;
-  if (!parse_frame(frame, len, block_size, &kind, &frame_epoch) ||
-      frame_epoch != epoch || !snapshot::is_base_kind(kind)) {
+  if (!acceptable(h, epoch, frame, len, &kind) ||
+      !snapshot::is_base_kind(kind)) {
     return false;
   }
-  snapshot::ArchiveHeader h =
-      snapshot::make_header(block_size, region_size, segment_size);
   tier::ColdTier cold(tier::ColdTier::dir_for(peer_path(origin)));
   std::string err;
   bool ok = cold.store(epoch, &h, sizeof(h), frame, len,
-                       durable_file::write_all, keep, &err);
+                       durable_file::write_all, &err);
   if (!ok) {
     CRPM_LOG_WARN("replica store %s: cold store for peer %d epoch %llu "
                   "failed: %s",

@@ -6,7 +6,9 @@
 // replica never needs the origin's tier configuration): ArchiveReader
 // reads it, snapshot::restore() restores from it, and `crpm_inspect repl
 // status` audits it. Frames arrive over the transport already in archive
-// frame encoding; append() validates them and appends + fdatasyncs through
+// frame encoding; append() accepts exactly the frames that reader marks
+// intact (snapshot::check_frame, under the message's geometry; coded
+// frames stay encoded) and appends + fdatasyncs them through
 // util/durable_file, so a stored frame survives a replica crash exactly
 // like a locally archived one (same torn-tail argument). A failed write
 // or sync is never acknowledged: append() cuts the file back and returns
@@ -61,13 +63,13 @@ class ReplicaStore {
 
   // Persists a shipped cold-tier base (the writer's cold observer feed)
   // under `peer_<origin>.crpmsnap.cold/` with the same
-  // durable_file::atomic_replace the origin uses locally. The frame must be a
-  // (possibly coded) base frame for `epoch`; `keep` bounds retained cold
-  // bases (0 = keep all). Idempotent: re-storing an epoch atomically
+  // durable_file::atomic_replace the origin uses locally. The frame must
+  // be a (possibly coded) base frame for `epoch` that passes the same
+  // check as append(). Idempotent: re-storing an epoch atomically
   // replaces an identical file.
   bool store_cold(int origin, uint64_t epoch, uint64_t block_size,
                   uint64_t region_size, uint64_t segment_size,
-                  const uint8_t* frame, size_t len, uint32_t keep);
+                  const uint8_t* frame, size_t len);
 
   // Newest epoch stored for `origin` whose chain is intact (0 = none).
   uint64_t newest_epoch(int origin) const;
@@ -103,13 +105,5 @@ class ReplicaStore {
   uint64_t bytes_stored_ = 0;
   uint64_t cold_stored_ = 0;
 };
-
-// Parses an archive-encoded frame's kind and epoch and verifies all of its
-// CRCs — header, records and footer for plain frames; header, extent and
-// encoded payload for coded ones (which stay encoded: their per-record
-// CRCs are re-verified at decode). Used by the store before appending and
-// by anything that needs to sanity-check frame bytes in flight.
-bool parse_frame(const uint8_t* frame, size_t len, uint64_t block_size,
-                 uint32_t* kind, uint64_t* epoch);
 
 }  // namespace crpm::repl

@@ -308,8 +308,7 @@ void ReplNode::handle_cold(const ReplMsgHeader& h, const uint8_t* body,
   // Idempotent: re-storing an epoch atomically replaces an identical cold
   // base, so duplicates are stored-and-acked rather than special-cased.
   if (!store_.store_cold(static_cast<int>(h.origin), h.epoch, h.block_size,
-                         h.region_size, h.segment_size, body, len,
-                         cfg_.cold_keep)) {
+                         h.region_size, h.segment_size, body, len)) {
     st_invalid_.fetch_add(1, std::memory_order_relaxed);
     return;  // no ack: validation or I/O failure, sender retries
   }

@@ -70,9 +70,6 @@ struct ReplConfig {
   uint32_t max_attempts = 0;
   // fdatasync replica-store appends (the durable-replica guarantee).
   bool fsync_store = true;
-  // Cold-tier bases retained per peer when the partner ships them
-  // (0 = keep all).
-  uint32_t cold_keep = 0;
 };
 
 struct ReplNodeStats {

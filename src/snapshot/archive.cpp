@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "snapshot/workers.h"
-#include "tier/coded.h"
 #include "util/logging.h"
 
 namespace crpm::snapshot {
@@ -80,101 +79,48 @@ void ArchiveReader::run_scan(const std::string& path, uint32_t workers) {
   scan_.valid = true;
   scan_.header = h;
 
-  // Pass 1: walk the frame headers (and coded extents), which carry each
-  // frame's length. Whatever stops the walk is the unparseable tail.
-  const uint64_t nr_blocks = h.region_size / h.block_size;
+  // Pass 1: walk the frame heads, which carry each frame's length.
+  // Whatever stops the walk is the unparseable tail.
   std::string tail_warning;
   uint64_t off = sizeof(ArchiveHeader);
   uint64_t prev_epoch = 0;
+  uint8_t head[kMaxFrameHeadBytes];
   while (off + sizeof(FrameHeader) <= file_size) {
-    FrameHeader fh;
-    if (!pread_exact(fd_, &fh, sizeof(fh), off)) break;
-    if (fh.marker != kFrameMarker ||
-        fh.header_crc != crc32(&fh, offsetof(FrameHeader, header_crc))) {
-      tail_warning = warnf(
-          "unparseable frame header at offset %llu: dropping %llu tail "
-          "bytes (torn append)",
-          off, file_size - off);
-      break;
-    }
-    if (!known_kind(fh.kind) || fh.block_count > nr_blocks ||
-        fh.epoch <= prev_epoch) {
-      tail_warning = warnf(
-          "implausible frame at offset %llu (epoch %llu): stopping scan",
-          off, fh.epoch);
-      break;
-    }
-
+    const size_t avail = static_cast<size_t>(
+        std::min<uint64_t>(sizeof(head), file_size - off));
+    if (!pread_exact(fd_, head, avail, off)) break;
     EpochInfo info;
-    info.epoch = fh.epoch;
-    info.kind = fh.kind;
     info.file_offset = off;
-    info.block_count = fh.block_count;
-
-    uint64_t total = 0;
-    if (is_coded_kind(fh.kind)) {
-      // Coded frame: the length comes from the CodedExtent, which must
-      // itself verify before we trust it. A torn extent is the tail shape
-      // of a crash mid-append, exactly like a torn header.
-      CodedExtent ce;
-      if (off + sizeof(FrameHeader) + sizeof(ce) > file_size ||
-          !pread_exact(fd_, &ce, sizeof(ce), off + sizeof(FrameHeader))) {
-        tail_warning = warnf(
-            "coded frame for epoch %llu truncated mid-append: dropping "
-            "%llu tail bytes",
-            fh.epoch, file_size - off);
-        break;
-      }
-      if (ce.marker != kExtentMarker ||
-          ce.extent_crc != crc32(&ce, offsetof(CodedExtent, extent_crc)) ||
-          ce.raw_bytes != frame_bytes(fh.block_count, h.block_size) ||
-          ce.encoded_bytes >= ce.raw_bytes) {
-        tail_warning = warnf(
-            "unparseable coded extent at offset %llu: dropping %llu tail "
-            "bytes (torn append)",
-            off, file_size - off);
-        break;
-      }
-      total = coded_frame_bytes(ce.encoded_bytes);
-      if (off + total > file_size) {
-        tail_warning = warnf(
-            "coded frame for epoch %llu truncated mid-append: dropping "
-            "%llu tail bytes",
-            fh.epoch, file_size - off);
-        break;
-      }
-      info.codec = ce.codec;
-      info.raw_bytes = ce.raw_bytes;
-    } else {
-      total = frame_bytes(fh.block_count, h.block_size);
-      if (off + total > file_size) {
-        tail_warning = warnf(
-            "frame for epoch %llu truncated mid-append: dropping %llu tail "
-            "bytes",
-            fh.epoch, file_size - off);
-        break;
-      }
-      info.raw_bytes = total;
+    const char* why = parse_frame_head(head, avail, h, &info);
+    if (why == nullptr && info.epoch <= prev_epoch) {
+      why = "frame out of epoch order";
     }
-    info.frame_bytes = total;
+    if (why == nullptr && off + info.frame_bytes > file_size) {
+      why = "frame truncated mid-append";
+    }
+    if (why != nullptr) {
+      tail_warning = why + warnf(" at offset %llu: dropping %llu tail bytes",
+                                 off, file_size - off);
+      break;
+    }
     scan_.epochs.push_back(info);
-    prev_epoch = fh.epoch;
-    off += total;
+    prev_epoch = info.epoch;
+    off += info.frame_bytes;
   }
 
-  // Pass 2: every frame's body check, claimed off a shared cursor; each
-  // worker reads through one buffer.
+  // Pass 2: every frame's check, claimed off a shared cursor; each worker
+  // reads through one buffer.
   const size_t n = scan_.epochs.size();
   auto read_ok = std::make_unique<bool[]>(n);
   workers = pool_size(workers);
   std::vector<std::vector<uint8_t>> bufs(workers);
   claim_each(n, workers, [&](uint64_t i, uint32_t self) {
     scan_.epochs[i].intact =
-        body_intact(scan_.epochs[i], &bufs[self], &read_ok[i]);
+        frame_intact(scan_.epochs[i], &bufs[self], &read_ok[i]);
     return true;
   });
 
-  // Verdicts in file order, as a front-to-back scan reports them: a body
+  // Verdicts in file order, as a front-to-back scan reports them: a frame
   // that cannot be read ends the scan there, like an I/O error mid-walk.
   for (size_t i = 0; i < n; ++i) {
     const EpochInfo& info = scan_.epochs[i];
@@ -199,45 +145,12 @@ void ArchiveReader::run_scan(const std::string& path, uint32_t workers) {
   }
 }
 
-bool ArchiveReader::body_intact(const EpochInfo& info,
-                                std::vector<uint8_t>* buf,
-                                bool* read_ok) const {
-  *read_ok = false;
-  if (is_coded_kind(info.kind)) {
-    // Full structural + encoded-CRC verification (no decode needed).
-    buf->resize(info.frame_bytes);
-    if (!pread_exact(fd_, buf->data(), buf->size(), info.file_offset)) {
-      return false;
-    }
-    *read_ok = true;
-    return tier::coded_frame_valid(buf->data(), buf->size());
-  }
-  // Verify records and footer.
-  const uint64_t bs = scan_.header.block_size;
-  const uint64_t nr_blocks = scan_.header.region_size / bs;
-  const uint64_t rec = record_bytes(bs);
-  buf->resize(info.frame_bytes - sizeof(FrameHeader));
-  if (!pread_exact(fd_, buf->data(), buf->size(),
-                   info.file_offset + sizeof(FrameHeader))) {
-    return false;
-  }
-  *read_ok = true;
-  uint32_t payload_crc = 0;
-  const uint8_t* p = buf->data();
-  for (uint64_t i = 0; i < info.block_count; ++i, p += rec) {
-    uint32_t stored = 0;
-    std::memcpy(&stored, p + rec - 4, 4);
-    uint64_t idx = 0;
-    std::memcpy(&idx, p, 8);
-    if (stored != crc32(p, rec - 4) || idx >= nr_blocks) return false;
-    payload_crc = crc32(&stored, 4, payload_crc);
-  }
-  FrameFooter ff;
-  std::memcpy(&ff, buf->data() + buf->size() - sizeof(ff), sizeof(ff));
-  return ff.marker == kFooterMarker && ff.epoch == info.epoch &&
-         ff.frame_bytes == info.frame_bytes &&
-         ff.payload_crc == payload_crc &&
-         ff.footer_crc == crc32(&ff, offsetof(FrameFooter, footer_crc));
+bool ArchiveReader::frame_intact(const EpochInfo& info,
+                                 std::vector<uint8_t>* buf,
+                                 bool* read_ok) const {
+  buf->resize(info.frame_bytes);
+  *read_ok = pread_exact(fd_, buf->data(), buf->size(), info.file_offset);
+  return *read_ok && check_frame(buf->data(), buf->size(), scan_.header);
 }
 
 int ArchiveReader::index_of(uint64_t epoch) const {
@@ -417,7 +330,7 @@ const char* ArchiveReader::load_frame(const EpochInfo& info,
     if (!pread_exact(fd_, coded->data(), coded->size(), info.file_offset)) {
       return "archive read failed while applying coded frame";
     }
-    if (!tier::decode_frame(coded->data(), coded->size(), &f->buf)) {
+    if (!decode_frame(coded->data(), coded->size(), scan_.header, &f->buf)) {
       return "coded frame failed CRC verification or decode";
     }
     f->recs = f->buf.data() + sizeof(FrameHeader);

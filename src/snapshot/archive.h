@@ -23,15 +23,9 @@
 
 namespace crpm::snapshot {
 
-struct EpochInfo {
-  uint64_t epoch = 0;
-  uint32_t kind = kDeltaFrame;
+struct EpochInfo : FrameInfo {
   uint64_t file_offset = 0;  // of the FrameHeader
-  uint64_t block_count = 0;
-  uint64_t frame_bytes = 0;  // on-disk bytes (encoded size for coded frames)
-  uint32_t codec = 0;        // tier codec id; 0 for plain frames
-  uint64_t raw_bytes = 0;    // plain-frame equivalent bytes
-  bool intact = false;  // every CRC (header, extent/records, footer) verified
+  bool intact = false;       // the frame passes check_frame()
 };
 
 struct ScanResult {
@@ -63,10 +57,9 @@ struct RestorePerf {
 
 class ArchiveReader {
  public:
-  // `scan_workers` > 1 fans the scan's per-frame body check (record and
-  // footer CRCs, or a coded frame's encoded CRC) out over that many
-  // threads, the caller included; verdicts and warnings equal the
-  // single-threaded scan's.
+  // `scan_workers` > 1 fans the scan's per-frame check (check_frame)
+  // out over that many threads, the caller included; verdicts and
+  // warnings equal the single-threaded scan's.
   explicit ArchiveReader(const std::string& path, uint32_t scan_workers = 1);
   ~ArchiveReader();
 
@@ -141,11 +134,11 @@ class ArchiveReader {
 
  private:
   void run_scan(const std::string& path, uint32_t workers);
-  // The scan's body check of frame `info`, read into `buf`: false in
-  // *read_ok when the body could not be read, else whether every CRC
-  // verifies.
-  bool body_intact(const EpochInfo& info, std::vector<uint8_t>* buf,
-                   bool* read_ok) const;
+  // The scan's check of frame `info`, read whole into `buf`: false in
+  // *read_ok when the frame could not be read, else whether it passes
+  // check_frame().
+  bool frame_intact(const EpochInfo& info, std::vector<uint8_t>* buf,
+                    bool* read_ok) const;
   // Reads and checks one chain frame, a coded one through `coded`; null
   // on success, else why not.
   const char* load_frame(const EpochInfo& info, std::vector<uint8_t>* coded,

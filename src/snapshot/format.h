@@ -1,4 +1,7 @@
-// On-disk format of the multi-epoch snapshot archive.
+// On-disk format of the multi-epoch snapshot archive, and the one module
+// that builds and checks its frames: the writer, the cold tier and the
+// replica store build them here, and the reader's scan, its restore
+// decode and the replica store check them here.
 //
 // An archive is an append-only file:
 //
@@ -22,7 +25,7 @@
 //
 // Version 2 adds *coded* frames (kCodedDeltaFrame/kCodedBaseFrame): the
 // complete serialized plain frame is run through a per-frame codec
-// (src/tier) and stored as
+// (tier/codec) and stored as
 //
 //   [ FrameHeader  ]  same struct; kind names the coded variant
 //   [ CodedExtent  ]  codec id, raw/encoded byte counts, dual CRC
@@ -157,7 +160,31 @@ inline constexpr uint64_t coded_frame_bytes(uint64_t encoded) {
          sizeof(FrameFooter);
 }
 
+// The most bytes a frame's head takes: its header, and the extent of a
+// coded frame.
+inline constexpr uint64_t kMaxFrameHeadBytes =
+    sizeof(FrameHeader) + sizeof(CodedExtent);
+
 using ::crpm::crc32;
+
+// What a frame's head (its header, and the extent of a coded frame) says
+// about the frame.
+struct FrameInfo {
+  uint64_t epoch = 0;
+  uint32_t kind = kDeltaFrame;
+  uint64_t block_count = 0;
+  uint64_t frame_bytes = 0;  // on-disk bytes (encoded size for coded frames)
+  uint32_t codec = 0;        // tier codec id; 0 for plain frames
+  uint64_t raw_bytes = 0;    // plain-frame equivalent bytes
+};
+
+// Serializes the archive file header.
+ArchiveHeader make_header(uint64_t block_size, uint64_t region_size,
+                          uint64_t segment_size);
+
+// Validates a header read from disk (magic, version, CRC, sane geometry).
+// Every frame check below assumes a geometry that passes it.
+bool header_valid(const ArchiveHeader& h);
 
 // Serializes one complete frame (header, records, footer) into `out`.
 // `blocks[i]`'s payload is payload + i * block_size. `out` is overwritten.
@@ -167,11 +194,41 @@ void serialize_frame(uint32_t kind, uint64_t epoch,
                      const uint8_t* payload, uint64_t block_size,
                      std::vector<uint8_t>* out);
 
-// Serializes the archive file header.
-ArchiveHeader make_header(uint64_t block_size, uint64_t region_size,
-                          uint64_t segment_size);
+// The contents of a base frame: replaces `blocks` and `payload` with every
+// non-zero block of `image` (region_size bytes). Zero blocks stay implicit,
+// since a restore starts from an all-zero image.
+void gather_base(const uint8_t* image, uint64_t region_size,
+                 uint64_t block_size, std::vector<uint64_t>* blocks,
+                 std::vector<uint8_t>* payload);
 
-// Validates a header read from disk (magic, version, CRC, sane geometry).
-bool header_valid(const ArchiveHeader& h);
+// Plain frame bytes -> coded frame bytes: the outer header with the kind
+// switched to the coded variant, the extent with the dual CRC, the codec
+// output and a footer repeating encoded_crc. False when codec_id is
+// none/unknown or the whole coded frame is not at most min_ratio of the
+// plain one: negotiation, not failure, so the caller keeps the plain frame.
+bool encode_frame(const uint8_t* plain, size_t plain_len, uint32_t codec_id,
+                  double min_ratio, std::vector<uint8_t>* out);
+
+// Parses the head of the frame at `p`, of which `avail` bytes (at least a
+// FrameHeader) are at hand, against the archive `geometry`: the header's
+// marker and CRC, a known kind, a block count no larger than the region's
+// (nor than a 2^63-byte frame holds), and for a coded frame its extent
+// (marker, CRC, a raw size that matches the block count, and encoded <
+// raw). Null with `info` filled, else why the head does not parse. Reads
+// nothing past the head.
+const char* parse_frame_head(const uint8_t* p, size_t avail,
+                             const ArchiveHeader& geometry, FrameInfo* info);
+
+// The frame check, exactly what a reader marks intact: a head that parses,
+// a length of exactly `len`, every record's CRC and block index (plain) or
+// the encoded CRC (coded), and a footer that matches. `info` may be null.
+bool check_frame(const uint8_t* frame, size_t len,
+                 const ArchiveHeader& geometry, FrameInfo* info = nullptr);
+
+// Coded frame bytes -> the exact plain frame bytes: the frame check, the
+// decode, then the raw CRC of the result. False on any damage.
+bool decode_frame(const uint8_t* frame, size_t len,
+                  const ArchiveHeader& geometry,
+                  std::vector<uint8_t>* plain_out);
 
 }  // namespace crpm::snapshot

@@ -14,8 +14,6 @@
 #include <cstring>
 
 #include "snapshot/archive.h"
-#include "snapshot/compactor.h"
-#include "tier/coded.h"
 #include "tier/cold.h"
 #include "util/durable_file.h"
 #include "util/logging.h"
@@ -45,7 +43,6 @@ ArchiveWriter::ArchiveWriter(std::string path, SnapshotOptions sopt)
     : path_(std::move(path)), sopt_(sopt) {
   if (sopt_.queue_depth == 0) sopt_.queue_depth = 1;
   if (sopt_.tier.group_epochs == 0) sopt_.tier.group_epochs = 1;
-  if (sopt_.tier.group_bytes == 0) sopt_.tier.group_bytes = 1;
   const std::string& kind = sopt_.tier.writeback;
   CRPM_CHECK(kind.empty() || kind == "sync" || kind == "threads",
              "archive %s: unknown writeback '%s' (use \"sync\" or "
@@ -362,7 +359,7 @@ void ArchiveWriter::worker() {
     if (!front_staged()) continue;
 
     // Group commit: gather staged frames into one batch until it is full
-    // (group_epochs / group_bytes of plain-frame payload) or the flush
+    // (group_epochs / kGroupBytes of plain-frame payload) or the flush
     // deadline since the first frame expires — bounding how long a lone
     // small epoch waits for durability.
     busy_ = true;
@@ -376,7 +373,7 @@ void ArchiveWriter::worker() {
     uint64_t est_bytes = 0;
     for (;;) {
       while (front_staged() && b.frames.size() < sopt_.tier.group_epochs &&
-             est_bytes < sopt_.tier.group_bytes) {
+             est_bytes < kGroupBytes) {
         est_bytes += frame_bytes(queue_.front().blocks.size(), block_size_);
         b.frames.push_back(std::move(queue_.front()));
         queue_.pop_front();
@@ -387,7 +384,7 @@ void ArchiveWriter::worker() {
       // before it, not of how far the stager happened to get — the crash
       // matrix enumerates the resulting file ops and replays by index.
       if (b.frames.size() >= sopt_.tier.group_epochs ||
-          est_bytes >= sopt_.tier.group_bytes ||
+          est_bytes >= kGroupBytes ||
           (flush_now_ && unstaged_ == 0) || stop_ ||
           dead_.load(std::memory_order_acquire)) {
         break;
@@ -462,8 +459,8 @@ void ArchiveWriter::submit_batch(Batch& b) {
         st_dropped_.fetch_add(b.frames.size(), std::memory_order_relaxed);
         return;
       }
-      if (tier::encode_frame(plain.data(), plain.size(), codec,
-                             sopt_.tier.codec_min_ratio, &coded)) {
+      if (encode_frame(plain.data(), plain.size(), codec, kCodecMinRatio,
+                       &coded)) {
         disk_kind =
             f.kind == kBaseFrame ? kCodedBaseFrame : kCodedDeltaFrame;
       }
@@ -603,17 +600,7 @@ void ArchiveWriter::stage(PendingFrame& f) {
     }
     _mm_sfence();  // staged payload visible before cv_staged_ releases f.src
   } else {
-    // Base frame: gather every non-zero block of the region.
-    f.blocks.clear();
-    f.payload.clear();
-    const uint64_t nr = region_size_ / block_size_;
-    for (uint64_t b = 0; b < nr; ++b) {
-      const uint8_t* p = f.src + b * block_size_;
-      bool zero = p[0] == 0 && std::memcmp(p, p + 1, block_size_ - 1) == 0;
-      if (zero) continue;
-      f.blocks.push_back(b);
-      f.payload.insert(f.payload.end(), p, p + block_size_);
-    }
+    gather_base(f.src, region_size_, block_size_, &f.blocks, &f.payload);
   }
   f.src = nullptr;
 }
@@ -765,33 +752,18 @@ bool ArchiveWriter::file_op_allowed(const char* site, uint64_t bytes) {
   return false;
 }
 
-bool ArchiveWriter::store_cold_base(
-    uint64_t epoch, const std::array<uint64_t, kNumRoots>& roots) {
-  // Serialize the fold state (every non-zero shadow block) as a base
-  // frame, then negotiate a codec for it — the cold tier always tries to
-  // compress, defaulting to LZB when the hot path runs plain.
-  std::vector<uint64_t> blocks;
-  std::vector<uint8_t> payload;
-  const uint64_t nr = region_size_ / block_size_;
-  for (uint64_t blk = 0; blk < nr; ++blk) {
-    const uint8_t* p = shadow_.data() + blk * block_size_;
-    bool zero = p[0] == 0 && std::memcmp(p, p + 1, block_size_ - 1) == 0;
-    if (zero) continue;
-    blocks.push_back(blk);
-    payload.insert(payload.end(), p, p + block_size_);
-  }
-  std::vector<uint8_t> plain;
-  serialize_frame(kBaseFrame, epoch, roots, blocks, payload.data(),
-                  block_size_, &plain);
+bool ArchiveWriter::store_cold_base(uint64_t epoch, const ArchiveHeader& h,
+                                    const std::vector<uint8_t>& base) {
+  // The cold tier always tries to compress the fold base, defaulting to
+  // LZB when the hot path runs plain.
   const uint32_t codec = sopt_.tier.codec != tier::kCodecNone
                              ? sopt_.tier.codec
                              : tier::kCodecLzb;
-  std::vector<uint8_t> disk;
-  if (!tier::encode_frame(plain.data(), plain.size(), codec,
-                          sopt_.tier.codec_min_ratio, &disk)) {
-    disk = std::move(plain);  // incompressible: store the plain base
-  }
-  ArchiveHeader h = make_header(block_size_, region_size_, segment_size_);
+  std::vector<uint8_t> coded;
+  const bool is_coded =
+      encode_frame(base.data(), base.size(), codec, kCodecMinRatio, &coded);
+  // Incompressible: store the plain base.
+  const std::vector<uint8_t>& disk = is_coded ? coded : base;
   tier::ColdTier cold(tier::ColdTier::dir_for(path_));
   io_site_ = "tier.cold";
   std::string err;
@@ -800,7 +772,7 @@ bool ArchiveWriter::store_cold_base(
       [this](int fd, const void* buf, size_t len) {
         return raw_write(fd, buf, len);
       },
-      sopt_.tier.cold_keep, &err);
+      &err);
   io_site_ = "archive.frame";
   if (!ok) {
     CRPM_LOG_WARN("archive %s: cold-tier store for epoch %llu failed: %s",
@@ -820,7 +792,17 @@ bool ArchiveWriter::store_cold_base(
 
 void ArchiveWriter::compact(uint64_t epoch,
                             const std::array<uint64_t, kNumRoots>& roots) {
-  if (sopt_.tier.cold_enabled && !store_cold_base(epoch, roots)) {
+  // The fold base, serialized once for the cold copy and the fold: every
+  // non-zero block of the running image at `epoch`.
+  std::vector<uint64_t> blocks;
+  std::vector<uint8_t> payload;
+  std::vector<uint8_t> base;
+  gather_base(shadow_.data(), region_size_, block_size_, &blocks, &payload);
+  serialize_frame(kBaseFrame, epoch, roots, blocks, payload.data(),
+                  block_size_, &base);
+  const ArchiveHeader h =
+      make_header(block_size_, region_size_, segment_size_);
+  if (sopt_.tier.cold_enabled && !store_cold_base(epoch, h, base)) {
     // Without the cold copy the fold would silently retire epochs that
     // were promised a cold base; keep the delta chain and retry at the
     // next fold point (a hook veto killed the writer anyway).
@@ -828,20 +810,23 @@ void ArchiveWriter::compact(uint64_t epoch,
                   path_.c_str());
     return;
   }
+  // The fold: a fresh file of the header and the base frame replaces the
+  // archive atomically, so a crash mid-fold leaves the old delta chain.
   io_site_ = "archive.compact";
-  CompactionResult r = fold_to_base(
-      path_, make_header(block_size_, region_size_, segment_size_), epoch,
-      roots,
-      shadow_, block_size_,
-      [this](int fd, const void* buf, size_t len) {
-        return raw_write(fd, buf, len);
-      });
+  std::string err;
+  const bool ok = durable_file::atomic_replace(
+      path_,
+      [&](int fd) {
+        return raw_write(fd, &h, sizeof(h)) &&
+               raw_write(fd, base.data(), base.size());
+      },
+      &err);
   io_site_ = "archive.frame";
-  if (!r.ok) {
+  if (!ok) {
     // A failed fold is fatal for the archive: past its rename (a failed
     // directory sync) fd_ no longer names the file at path_.
     CRPM_LOG_WARN("archive %s: compaction failed (%s) — archiving disabled",
-                  path_.c_str(), r.error.c_str());
+                  path_.c_str(), err.c_str());
     dead_.store(true, std::memory_order_release);
     cv_space_.notify_all();
     return;
@@ -857,7 +842,7 @@ void ArchiveWriter::compact(uint64_t epoch,
   append_off_ = static_cast<uint64_t>(end);
   deltas_since_base_ = 0;
   st_compactions_.fetch_add(1, std::memory_order_relaxed);
-  charge_io(r.bytes_written, true);
+  charge_io(sizeof(h) + base.size(), true);
   if (crpm_stats_ != nullptr) crpm_stats_->add_archive_compaction();
 }
 

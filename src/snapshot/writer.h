@@ -19,7 +19,7 @@
 // each staged frame, negotiates the configured codec per frame (keeping
 // the plain frame when coding does not win), and accumulates frames into
 // a group-commit batch — one device write + one fdatasync per batch, cut
-// when the batch reaches group_epochs/group_bytes or the oldest pending
+// when the batch reaches group_epochs/kGroupBytes or the oldest pending
 // frame has waited flush_deadline_us (bounded durability latency).
 // Batches are handed to tier::Writeback ("sync" inline, or "threads": two
 // worker threads) as a bounded ring of kRingDepth in-flight jobs, so the
@@ -30,10 +30,13 @@
 // Compaction: after `compact_every` delta frames the writer folds its
 // running shadow image into a full base snapshot, written to a fresh file
 // that atomically replaces the archive (durable_file::atomic_replace), and
-// the delta chain restarts from that base. With the cold tier enabled, the
-// fold state is first stored as a codec-compressed base frame under
-// `<archive>.cold/` the same way, so epochs the fold retires stay
-// restorable — and optionally ships to a replica via the cold observer.
+// the delta chain restarts from that base. Either the rename happens, or
+// the old delta chain is untouched: a crash mid-fold never makes a
+// restorable epoch unrestorable. Epochs older than the fold leave the
+// archive. With the cold tier enabled, the same serialized base is first
+// stored, codec-compressed, under `<archive>.cold/` the same way, so
+// epochs the fold retires stay restorable — and optionally ships to a
+// replica via the cold observer.
 //
 // Every file write and sync goes through util/durable_file. A failed
 // write, sync or fold is fatal for the archive file: the writer goes
@@ -191,6 +194,12 @@ class ArchiveWriter final : public EpochSink {
   // Submitted-but-incomplete batches before the writer thread blocks on
   // the oldest completion (the staging ring bound).
   static constexpr size_t kRingDepth = 4;
+  // A frame is coded only when the whole coded frame is at most this
+  // share of the plain frame; otherwise the plain frame is appended.
+  static constexpr double kCodecMinRatio = 0.90;
+  // A group-commit batch is cut at tier.group_epochs frames or at this
+  // many plain-frame bytes, whichever comes first.
+  static constexpr uint64_t kGroupBytes = 4ull << 20;
 
   // One group-commit batch: frames serialized (and codec-negotiated) into
   // per-frame on-disk buffers, written with a single writeback job. Owned
@@ -257,11 +266,15 @@ class ArchiveWriter final : public EpochSink {
   // Completion reaping outside forced points is suppressed while a
   // file-op hook is installed (crash-matrix determinism).
   bool opportunistic_reap_allowed();
+  // Folds the shadow image at `epoch` into a one-base-frame archive that
+  // atomically replaces the file, after storing its cold copy when the
+  // cold tier is on.
   void compact(uint64_t epoch, const std::array<uint64_t, kNumRoots>& roots);
-  // Cold-tier store of the shadow image at the fold point; best effort
-  // (a failed/vetoed store aborts the fold and keeps the delta chain).
-  bool store_cold_base(uint64_t epoch,
-                       const std::array<uint64_t, kNumRoots>& roots);
+  // Cold-tier store of the serialized fold `base` under archive header
+  // `h`, codec-negotiated; best effort (a failed/vetoed store aborts the
+  // fold and keeps the delta chain).
+  bool store_cold_base(uint64_t epoch, const ArchiveHeader& h,
+                       const std::vector<uint8_t>& base);
   // durable_file::write_all honoring the kill_after_bytes budget; flips
   // dead_ on budget exhaustion or an I/O error. Used by the compaction/cold
   // paths (batch appends go through the writeback).

@@ -1,11 +1,12 @@
 // Pluggable per-frame codecs for the archive tiering layer.
 //
 // A codec transforms the serialized bytes of one archive frame; the
-// negotiation is per frame (src/tier/coded.h): the writer tries the
-// configured codec and keeps the plain frame whenever the encode does not
-// shrink it enough, so a codec only ever has to win, never to round-trip
-// incompressible input at a loss. Codec ids are part of the on-disk
-// format (CodedExtent::codec) and must never be renumbered.
+// negotiation is per frame (snapshot/format's encode_frame): the writer
+// tries the configured codec and keeps the plain frame whenever the
+// encode does not shrink it enough, so a codec only ever has to win,
+// never to round-trip incompressible input at a loss. Codec ids are part
+// of the on-disk format (the coded frame's extent names its codec) and
+// must never be renumbered.
 //
 // kCodecLzb is a self-contained LZ77 block compressor in the LZ4 family
 // (greedy hash-table matcher, token byte with 4-bit literal/match length

@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -22,31 +21,18 @@ std::string ColdTier::base_name(uint64_t epoch) {
 
 bool ColdTier::store(uint64_t epoch, const void* header, size_t header_len,
                      const void* frame, size_t frame_len,
-                     const WriteFn& write_fn, uint32_t keep,
-                     std::string* err) {
+                     const WriteFn& write_fn, std::string* err) {
   if (!durable_file::make_dirs(dir_)) {
     if (err) *err = std::string("mkdir ") + dir_ + ": " + std::strerror(errno);
     return false;
   }
-  const std::string final_path = dir_ + "/" + base_name(epoch);
-  if (!durable_file::atomic_replace(
-          final_path,
-          [&](int fd) {
-            return write_fn(fd, header, header_len) &&
-                   write_fn(fd, frame, frame_len);
-          },
-          err)) {
-    return false;
-  }
-
-  if (keep != 0) {
-    auto entries = list(dir_);
-    while (entries.size() > keep) {
-      ::unlink(entries.front().path.c_str());
-      entries.erase(entries.begin());
-    }
-  }
-  return true;
+  return durable_file::atomic_replace(
+      dir_ + "/" + base_name(epoch),
+      [&](int fd) {
+        return write_fn(fd, header, header_len) &&
+               write_fn(fd, frame, frame_len);
+      },
+      err);
 }
 
 std::vector<ColdEntry> ColdTier::list(const std::string& dir) {

@@ -46,12 +46,11 @@ class ColdTier {
   // budget and file-op hook apply; plain callers pass
   // durable_file::write_all), then publishes the file. False (with err)
   // on I/O failure or an aborted write_fn; a false return never leaves a
-  // visible cold base. Prunes oldest bases beyond `keep` (0 = keep all)
-  // after a successful store.
+  // visible cold base.
   using WriteFn = std::function<bool(int fd, const void* buf, size_t len)>;
   bool store(uint64_t epoch, const void* header, size_t header_len,
              const void* frame, size_t frame_len, const WriteFn& write_fn,
-             uint32_t keep, std::string* err);
+             std::string* err);
 
   // Cold bases under `dir`, ascending by epoch. Unparseable names are
   // skipped; intactness is the reader's job.

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Keeps a single copy of the file-durability protocol.
+"""Keeps a single copy of the file-durability protocol and of the archive
+frame layout.
 
     python3 tests/check_durable_file.py [repo-root]
 
@@ -10,9 +11,15 @@ a hand-written copy of that protocol — or when a code line on the
 durable paths (src/tier, src/repl, src/snapshot, src/apps) creates a
 directory with mkdir, create_directory or create_directories instead of
 durable_file::make_dirs, which also syncs the new entry's parent.
+
+Likewise src/snapshot/format.{h,cpp} is the one place that builds and
+checks archive frames (DESIGN.md section 5). A code line anywhere else
+under src/ fails when it names FrameFooter or CodedExtent, or takes
+offsetof of ArchiveHeader, FrameHeader, FrameFooter or CodedExtent.
+
 Comments and string literals are ignored. Exit 0 when clean; 1 with one
-line per offending call. Uses only the standard library; registered as a
-ctest in tests/CMakeLists.txt.
+line per offending site. Uses only the standard library; registered as
+a ctest in tests/CMakeLists.txt.
 """
 
 import re
@@ -24,6 +31,12 @@ MKDIR = re.compile(r"\b(mkdir|create_directory|create_directories)\s*\(")
 DURABLE_DIRS = ("tier", "repl", "snapshot", "apps")
 SOURCES = (".c", ".cc", ".cpp", ".h", ".hpp")
 ALLOWED = Path("src") / "util" / "durable_file.cpp"
+LAYOUT = re.compile(
+    r"\boffsetof\s*\(\s*(?:\w+::)*"
+    r"(ArchiveHeader|FrameHeader|FrameFooter|CodedExtent)\b"
+    r"|\b(FrameFooter|CodedExtent)\b")
+LAYOUT_OWNERS = (Path("src") / "snapshot" / "format.h",
+                 Path("src") / "snapshot" / "format.cpp")
 
 
 def code_only(text):
@@ -64,6 +77,17 @@ def offending_calls(text, durable_path=False):
     return sorted(calls)
 
 
+def layout_sites(text):
+    """(line number, what) of every code site that reaches into the
+    archive frame layout."""
+    sites = []
+    for lineno, line in enumerate(code_only(text).split("\n"), 1):
+        for m in LAYOUT.finditer(line):
+            what = f"offsetof({m.group(1)})" if m.group(1) else m.group(2)
+            sites.append((lineno, what))
+    return sites
+
+
 def self_test():
     """The scanner must see real calls and skip comments and strings."""
     planted = (
@@ -88,6 +112,15 @@ def self_test():
     if offending_calls(planted_dirs):
         sys.exit("check_durable_file: self-test failed: directory creation "
                  "flagged off the durable paths")
+    planted_layout = (
+        "snapshot::FrameHeader fh;  // its CodedExtent, in a comment\n"
+        "const char* s = \"FrameFooter\"; crc32(&m, offsetof(Msg, crc));\n"
+        "uint32_t c = crc32(&fh, offsetof(snapshot::FrameHeader, crc));\n"
+    )
+    want = [(3, "offsetof(FrameHeader)")]
+    got = layout_sites(planted_layout)
+    if got != want:
+        sys.exit(f"check_durable_file: self-test failed: {got} != {want}")
 
 
 def main():
@@ -107,6 +140,10 @@ def main():
         for lineno, name in offending_calls(text, durable_path):
             bad.append(f"{rel}:{lineno}: calls {name}(); use "
                        f"util/durable_file instead")
+        if rel not in LAYOUT_OWNERS:
+            for lineno, what in layout_sites(text):
+                bad.append(f"{rel}:{lineno}: uses {what}; only "
+                           f"snapshot/format knows the frame layout")
     for line in bad:
         print(line)
     return 1 if bad else 0

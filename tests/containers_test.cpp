@@ -9,7 +9,6 @@
 #include "baselines/nvmnp.h"
 #include "containers/phashmap.h"
 #include "containers/pmap.h"
-#include "containers/pvector.h"
 #include "core/container.h"
 #include "nvm/crash_sim.h"
 #include "util/rng.h"
@@ -341,42 +340,6 @@ TEST(PHashMap, BlockSpanningValues) {
       EXPECT_EQ(v.payload[50], char('a' + k % 26));
     }
   }
-}
-
-TEST(PVector, PushSetMutate) {
-  auto p = make_crpm_policy(kv_opts());
-  PVector<double, CrpmPolicy> v(*p, 100, 0);
-  for (int i = 0; i < 50; ++i) v.push_back(i * 1.5);
-  EXPECT_EQ(v.size(), 50u);
-  EXPECT_DOUBLE_EQ(v[10], 15.0);
-  v.set(10, 99.0);
-  EXPECT_DOUBLE_EQ(v[10], 99.0);
-  double* d = v.mutate(20, 10);
-  for (int i = 0; i < 10; ++i) d[i] = -1;
-  EXPECT_DOUBLE_EQ(v[25], -1.0);
-  v.resize(80);
-  EXPECT_EQ(v.size(), 80u);
-  EXPECT_DOUBLE_EQ(v[70], 0.0);
-}
-
-TEST(PVector, SurvivesReopen) {
-  CrpmOptions o = kv_opts(8);
-  auto dev =
-      std::make_unique<HeapNvmDevice>(Container::required_device_size(o));
-  NvmDevice* raw = dev.get();
-  {
-    CrpmPolicy p(raw, o);
-    PVector<uint64_t, CrpmPolicy> v(p, 64, 2);
-    for (uint64_t i = 0; i < 64; ++i) v.push_back(i * i);
-    p.checkpoint();
-  }
-  {
-    CrpmPolicy p(raw, o);
-    PVector<uint64_t, CrpmPolicy> v(p, 64, 2);
-    ASSERT_EQ(v.size(), 64u);
-    for (uint64_t i = 0; i < 64; ++i) EXPECT_EQ(v[i], i * i);
-  }
-  (void)std::move(dev);
 }
 
 }  // namespace

@@ -196,7 +196,8 @@ std::vector<uint8_t> make_frame(uint32_t kind, uint64_t epoch,
 
 TEST(ReplicaStoreTest, AcceptanceRules) {
   const std::string dir = temp_dir("crpm_replstore_rules");
-  ReplicaStore store(dir);
+  auto store_ptr = std::make_unique<ReplicaStore>(dir);
+  ReplicaStore& store = *store_ptr;
 
   auto f1 = make_frame(snapshot::kDeltaFrame, 1, {0, 1}, 0x11);
   auto f2 = make_frame(snapshot::kDeltaFrame, 2, {1}, 0x22);
@@ -241,6 +242,62 @@ TEST(ReplicaStoreTest, AcceptanceRules) {
   uint64_t latest = 0;
   ASSERT_TRUE(reader.latest_restorable(&latest));
   EXPECT_EQ(latest, 7u);
+
+  // The store acks exactly what its reader restores: a CRC-valid delta
+  // whose record lies outside the region, or that carries more records
+  // than the region has blocks, is refused like corrupt bytes.
+  const uint64_t nr_blocks = (1 << 20) / kBlk;
+  auto outside = make_frame(snapshot::kDeltaFrame, 8, {nr_blocks}, 0x88);
+  EXPECT_EQ(store.append(0, 8, kBlk, 1 << 20, 4096, outside.data(),
+                         outside.size(), true),
+            AppendVerdict::kInvalid);
+  std::vector<uint64_t> overfull_blocks(nr_blocks + 1);
+  for (uint64_t i = 0; i <= nr_blocks; ++i) {
+    overfull_blocks[i] = i % nr_blocks;
+  }
+  auto overfull = make_frame(snapshot::kDeltaFrame, 1, overfull_blocks, 0x88);
+  EXPECT_EQ(store.append(4, 1, kBlk, 1 << 20, 4096, overfull.data(),
+                         overfull.size(), true),
+            AppendVerdict::kInvalid);
+  EXPECT_EQ(store.newest_epoch(4), 0u);
+  // A geometry no archive header can hold is refused before any check
+  // divides by its block size.
+  EXPECT_EQ(store.append(3, 1, 0, 1 << 20, 4096, f1.data(), f1.size(), true),
+            AppendVerdict::kInvalid);
+  // A block count that wraps the frame size (1-byte blocks of a 2^64-byte
+  // region: 192 + 13 * count == 206 mod 2^64) over three CRC-valid
+  // records is refused without reading past the message's 206 bytes.
+  snapshot::FrameHeader wrap;
+  wrap.epoch = 1;
+  wrap.block_count = 0x4ec4ec4ec4ec4ec6ull;
+  wrap.header_crc = crc32(&wrap, offsetof(snapshot::FrameHeader, header_crc));
+  std::vector<uint8_t> wrapped(206, 0);
+  std::memcpy(wrapped.data(), &wrap, sizeof(wrap));
+  for (size_t at = sizeof(wrap); at + 13 <= wrapped.size(); at += 13) {
+    const uint32_t crc = crc32(wrapped.data() + at, 9);
+    std::memcpy(wrapped.data() + at + 9, &crc, 4);
+  }
+  EXPECT_EQ(store.append(5, 1, 1, UINT64_MAX, 4096, wrapped.data(),
+                         wrapped.size(), true),
+            AppendVerdict::kInvalid);
+  auto f8 = make_frame(snapshot::kDeltaFrame, 8, {3}, 0x88);
+  EXPECT_EQ(store.append(0, 8, kBlk, 1 << 20, 4096, f8.data(), f8.size(),
+                         true),
+            AppendVerdict::kStored);
+
+  // Every acked epoch survives a reopen and restores from the peer file.
+  store_ptr.reset();
+  ReplicaStore reopened(dir);
+  EXPECT_EQ(reopened.newest_epoch(0), 8u);
+  snapshot::ArchiveReader after(reopened.peer_path(0));
+  for (uint64_t e : {1, 2, 7, 8}) {
+    std::vector<uint8_t> image;
+    std::array<uint64_t, kNumRoots> roots{};
+    std::string err;
+    EXPECT_TRUE(after.state_at(e, &image, &roots, &err))
+        << "epoch " << e << ": " << err;
+    EXPECT_EQ(roots[0], e);
+  }
   std::filesystem::remove_all(dir);
 }
 

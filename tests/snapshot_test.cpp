@@ -1,15 +1,20 @@
 // Snapshot subsystem tests: archive every epoch of a workload, then prove
 // restore() reproduces the exact working state (bytes and roots) of every
 // archived epoch — for both container modes, across compaction folds,
-// around corrupt frames, and under queue backpressure.
+// around corrupt frames, and under queue backpressure — and pin the
+// archive's exact bytes.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/container.h"
@@ -17,6 +22,9 @@
 #include "snapshot/archive.h"
 #include "snapshot/restore.h"
 #include "snapshot/writer.h"
+#include "tier/codec.h"
+#include "tier/cold.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace crpm {
@@ -408,6 +416,108 @@ TEST(SnapshotTest, RestoreRefusesNonPristineDeviceAndWrongGeometry) {
   EXPECT_EQ(rr.container, nullptr);
   EXPECT_FALSE(rr.error.empty());
   std::filesystem::remove(path);
+}
+
+// Size and CRC32 of a whole file.
+std::pair<uint64_t, uint32_t> file_fingerprint(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  return {bytes.size(), crc32(bytes.data(), bytes.size())};
+}
+
+// The archive's bytes, pinned exactly: one fixed single-thread workload
+// (sync checkpoints, cost model off, "sync" writeback, a drain after every
+// checkpoint) archived plain, lzb-coded, and lzb-coded with compaction
+// folds and the cold tier. A change that moves one byte of the on-disk
+// format, the codec negotiation, the batch cut or the fold changes a
+// number here. Odd epochs write random bytes and even epochs runs, so the
+// lzb runs hold plain and coded frames.
+TEST(ArchiveFormat, BytesArePinned) {
+  using Fingerprint = std::pair<uint64_t, uint32_t>;
+  struct Pinned {
+    const char* name;
+    uint32_t codec;
+    uint32_t compact_every;
+    bool cold;
+    Fingerprint hot;
+    std::map<uint32_t, uint64_t> kinds;  // frames per kind, hot archive
+    std::vector<Fingerprint> cold_bases;
+    // writer_stats(): bytes, raw bytes, coded frames, batches, fsyncs,
+    // compactions, cold bases.
+    std::array<uint64_t, 7> stats;
+  };
+  const std::vector<Pinned> pinned = {
+      {"plain", tier::kCodecNone, 0, false,
+       {25664, 1123748038u}, {{snapshot::kDeltaFrame, 8}}, {},
+       {25616, 25616, 0, 8, 8, 0, 0}},
+      {"lzb", tier::kCodecLzb, 0, false,
+       {14324, 3231862020u},
+       {{snapshot::kDeltaFrame, 1}, {snapshot::kCodedDeltaFrame, 7}}, {},
+       {14276, 25616, 7, 8, 8, 0, 0}},
+      {"lzb-compact-cold", tier::kCodecLzb, 3, true,
+       {19856, 1554716694u},
+       {{snapshot::kBaseFrame, 1}, {snapshot::kCodedDeltaFrame, 2}},
+       {{4452, 284666196u}, {6712, 3697064870u}},
+       {48320, 25616, 7, 8, 12, 2, 2}},
+  };
+  for (const Pinned& want : pinned) {
+    SCOPED_TRACE(want.name);
+    const CrpmOptions opt = small_opts(false);
+    const std::string path = temp_archive(std::string("pinned_") + want.name);
+    const std::string cold_dir = tier::ColdTier::dir_for(path);
+    std::filesystem::remove_all(cold_dir);
+    snapshot::SnapshotOptions sopt;
+    sopt.compact_every = want.compact_every;
+    sopt.tier.codec = want.codec;
+    sopt.tier.writeback = "sync";
+    sopt.tier.cold_enabled = want.cold;
+    snapshot::ArchiveWriterStats st;
+    {
+      auto dev = std::make_unique<HeapNvmDevice>(
+          Container::required_device_size(opt));
+      dev->set_cost_model(CostModel::disabled());
+      auto c = Container::open(std::move(dev), opt);
+      snapshot::ArchiveWriter w(path, sopt);
+      w.attach(*c);
+      Xoshiro256 rng(2026);
+      for (uint64_t e = 1; e <= 8; ++e) {
+        for (int r = 0; r < 4; ++r) {
+          const uint64_t len = 128 + rng.next_below(1024);
+          const uint64_t off = rng.next_below(c->capacity() - len);
+          c->annotate(c->data() + off, len);
+          for (uint64_t i = 0; i < len; ++i) {
+            c->data()[off + i] = e % 2 == 0
+                                     ? static_cast<uint8_t>(e * 16 + r)
+                                     : static_cast<uint8_t>(rng.next());
+          }
+        }
+        c->set_root(0, e);
+        c->checkpoint();
+        w.drain();
+      }
+      st = w.writer_stats();
+      c->set_epoch_sink(nullptr);
+      EXPECT_FALSE(w.failed());
+    }
+    EXPECT_EQ(file_fingerprint(path), want.hot);
+    snapshot::ArchiveReader reader(path);
+    ASSERT_TRUE(reader.ok());
+    std::map<uint32_t, uint64_t> kinds;
+    for (const auto& info : reader.scan().epochs) ++kinds[info.kind];
+    EXPECT_EQ(kinds, want.kinds);
+    std::vector<Fingerprint> cold;
+    for (const auto& e : tier::ColdTier::list(cold_dir)) {
+      cold.push_back(file_fingerprint(e.path));
+    }
+    EXPECT_EQ(cold, want.cold_bases);
+    const std::array<uint64_t, 7> stats = {
+        st.bytes_appended, st.raw_bytes,   st.coded_frames, st.batches,
+        st.fsyncs,         st.compactions, st.cold_bases};
+    EXPECT_EQ(stats, want.stats);
+    std::filesystem::remove(path);
+    std::filesystem::remove_all(cold_dir);
+  }
 }
 
 }  // namespace

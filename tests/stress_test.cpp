@@ -1,6 +1,6 @@
 // Heavier randomized/stress coverage: heap fuzzing against a shadow
 // allocator model, multithreaded epoch stress with per-thread golden
-// models, the PRing container, and long-haul epoch cycling.
+// models, and long-haul epoch cycling.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "baselines/crpm_policy.h"
-#include "containers/pring.h"
 #include "core/container.h"
 #include "core/heap.h"
 #include "nvm/crash_sim.h"
@@ -128,52 +127,6 @@ TEST(MultithreadStress, ConcurrentWritersWithCollectiveCheckpoints) {
       ASSERT_EQ(v, committed[size_t(tid)][c])
           << "thread " << tid << " cell " << c;
     }
-  }
-}
-
-TEST(PRingTest, PushPopWrapAround) {
-  CrpmOptions o = stress_opts();
-  HeapNvmDevice dev(Container::required_device_size(o));
-  CrpmPolicy p(&dev, o);
-  PRing<uint64_t, CrpmPolicy> ring(p, 8, 0);
-  EXPECT_TRUE(ring.empty());
-  for (uint64_t v = 0; v < 8; ++v) EXPECT_TRUE(ring.push(v));
-  EXPECT_TRUE(ring.full());
-  EXPECT_FALSE(ring.push(99));
-  uint64_t out = 0;
-  // Drain/refill across the wrap boundary many times.
-  for (uint64_t round = 0; round < 100; ++round) {
-    ASSERT_TRUE(ring.pop(&out));
-    ASSERT_EQ(out, round);
-    ASSERT_TRUE(ring.push(8 + round));
-  }
-  EXPECT_EQ(ring.size(), 8u);
-  EXPECT_EQ(ring.front(), 100u);
-}
-
-TEST(PRingTest, SurvivesCrashConsistently) {
-  CrpmOptions o = stress_opts();
-  CrashSimDevice dev(Container::required_device_size(o));
-  Xoshiro256 rng(7);
-  {
-    CrpmPolicy p(&dev, o);
-    PRing<uint64_t, CrpmPolicy> ring(p, 64, 0);
-    for (uint64_t v = 0; v < 20; ++v) ring.push(v);
-    uint64_t out;
-    for (int i = 0; i < 5; ++i) ring.pop(&out);
-    p.checkpoint();  // committed: elements 5..19
-    for (uint64_t v = 100; v < 110; ++v) ring.push(v);  // uncommitted
-    ring.pop(&out);
-  }
-  dev.crash_and_restart(CrashPolicy::kDropPending, rng);
-  {
-    CrpmPolicy p(&dev, o);
-    PRing<uint64_t, CrpmPolicy> ring(p, 64, 0);
-    EXPECT_EQ(ring.size(), 15u);
-    std::vector<uint64_t> contents;
-    ring.for_each([&](uint64_t v) { contents.push_back(v); });
-    ASSERT_EQ(contents.size(), 15u);
-    for (uint64_t i = 0; i < 15; ++i) EXPECT_EQ(contents[i], i + 5);
   }
 }
 

@@ -22,7 +22,6 @@
 #include "snapshot/restore.h"
 #include "snapshot/writer.h"
 #include "tier/codec.h"
-#include "tier/coded.h"
 #include "tier/cold.h"
 #include "util/rng.h"
 
@@ -122,38 +121,38 @@ TEST(TierCodedFrameTest, RoundTripAndDamageDetection) {
   }
   ASSERT_FALSE(plain.empty());
 
+  const snapshot::ArchiveHeader geom = snapshot::make_header(
+      opt.block_size, opt.main_region_size, opt.segment_size);
   std::vector<uint8_t> coded;
-  ASSERT_TRUE(tier::encode_frame(plain.data(), plain.size(),
-                                 tier::kCodecLzb, 0.95, &coded));
+  ASSERT_TRUE(snapshot::encode_frame(plain.data(), plain.size(),
+                                     tier::kCodecLzb, 0.95, &coded));
   ASSERT_LT(coded.size(), plain.size());
-  snapshot::CodedExtent ce;
-  ASSERT_TRUE(tier::coded_frame_valid(coded.data(), coded.size(), &ce));
-  EXPECT_EQ(ce.codec, tier::kCodecLzb);
-  EXPECT_EQ(ce.raw_bytes, plain.size());
+  snapshot::FrameInfo info;
+  ASSERT_TRUE(snapshot::check_frame(coded.data(), coded.size(), geom, &info));
+  EXPECT_EQ(info.codec, tier::kCodecLzb);
+  EXPECT_EQ(info.raw_bytes, plain.size());
 
-  // The replication-side validator accepts the coded form too.
-  uint32_t kind = 0;
-  uint64_t epoch = 0;
-  EXPECT_TRUE(repl::parse_frame(coded.data(), coded.size(), opt.block_size,
-                                &kind, &epoch));
-  EXPECT_TRUE(snapshot::is_coded_kind(kind));
-  EXPECT_EQ(epoch, 1u);
+  // The one frame check, which the replica store applies too, reports
+  // the coded kind and the epoch.
+  EXPECT_TRUE(snapshot::is_coded_kind(info.kind));
+  EXPECT_EQ(info.epoch, 1u);
 
   std::vector<uint8_t> back;
-  ASSERT_TRUE(tier::decode_frame(coded.data(), coded.size(), &back));
+  ASSERT_TRUE(
+      snapshot::decode_frame(coded.data(), coded.size(), geom, &back));
   EXPECT_EQ(back, plain);
 
   // A refusal ratio no real encode can reach keeps the plain frame.
   std::vector<uint8_t> refused;
-  EXPECT_FALSE(tier::encode_frame(plain.data(), plain.size(),
-                                  tier::kCodecLzb, 0.0001, &refused));
+  EXPECT_FALSE(snapshot::encode_frame(plain.data(), plain.size(),
+                                      tier::kCodecLzb, 0.0001, &refused));
 
   // One flipped byte anywhere in the encoded payload must be caught.
   std::vector<uint8_t> bad = coded;
   bad[sizeof(snapshot::FrameHeader) + sizeof(snapshot::CodedExtent) + 3] ^=
       0x40;
-  EXPECT_FALSE(tier::coded_frame_valid(bad.data(), bad.size(), nullptr));
-  EXPECT_FALSE(tier::decode_frame(bad.data(), bad.size(), &back));
+  EXPECT_FALSE(snapshot::check_frame(bad.data(), bad.size(), geom, nullptr));
+  EXPECT_FALSE(snapshot::decode_frame(bad.data(), bad.size(), geom, &back));
   fs::remove(path);
 }
 
@@ -421,7 +420,7 @@ TEST(TierCrashTest, ColdBasesShipIntoAReplicaStore) {
         [&](uint64_t epoch, const uint8_t* frame, size_t len) {
           if (!store.store_cold(0, epoch, opt.block_size,
                                 opt.main_region_size, opt.segment_size,
-                                frame, len, /*keep=*/0)) {
+                                frame, len)) {
             ship_failures.fetch_add(1);
           } else {
             shipped_epoch = epoch;
