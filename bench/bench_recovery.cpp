@@ -7,10 +7,11 @@
 // sync) and the remainder copying the main region into DRAM.
 // Two additional production-recovery sections (gated in CI against
 // bench/baseline.json):
-//   restore_vs_serial  thread-CPU speedup of the sharded record apply at
-//                      4 workers over the serial apply (sum of serial
-//                      apply CPU over the parallel critical path), on an
-//                      archive big enough that the apply dominates.
+//   restore_vs_serial  thread-CPU speedup of the chunk apply at 4 workers
+//                      over the serial apply (sum of serial apply CPU
+//                      over the parallel critical path, the largest
+//                      per-shard CPU), on an archive big enough that the
+//                      apply dominates.
 //   ttfq               time-to-first-query of a lazy restore (start() +
 //                      one faulting read) over the wall time of the full
 //                      blocking restore_file of the same archive.

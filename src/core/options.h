@@ -118,11 +118,6 @@ struct CrpmOptions {
   // thread blocks on the background writer (backpressure).
   uint32_t archive_queue_depth = 8;
 
-  // fdatasync the archive after each appended batch (a batch is one epoch
-  // unless archive_group_epochs raises it). Off, durability of archived
-  // epochs lags the OS page cache.
-  bool archive_fsync = true;
-
   // Per-frame codec negotiated by the tiering layer (src/tier): "" or
   // "none" appends plain frames; "lzb" tries LZ4-style compression and
   // keeps whichever form is smaller.
@@ -147,15 +142,13 @@ struct CrpmOptions {
 
   // --- recovery read path (snapshot::restore) ---------------------------
 
-  // Worker threads sharding the archive record apply during restore.
-  // Segments partition across workers (seg % workers), each worker sweeps
-  // its own shard's records first and then steals from lagging shards —
-  // the commit_shards work-stealing discipline applied to the read path.
-  // Every worker re-verifies the CRC of each record it applies, so a
-  // corrupt frame is detected by whichever shard owns the damage. 0 or 1
-  // keeps the single-threaded apply. Capped at kMaxRestoreWorkers. The
-  // apply runs on a DRAM image before the restored container is built, so
-  // the device persistence-event stream stays deterministic regardless.
+  // Worker threads of a restore: the archive scan's frame checks, the
+  // chain loader's reads and decodes, and the chunk apply (the region cut
+  // into max(segment, page) chunks, claimed off a shared cursor) all run
+  // on that many threads. 0 or 1 keeps the single-threaded restore.
+  // Capped at kMaxRestoreWorkers. The apply runs on a DRAM image before
+  // the restored container is built, so the device persistence-event
+  // stream stays deterministic regardless.
   uint32_t restore_workers = 0;
 
   // --- checkpoint engine selection (src/engines) -----------------------

@@ -54,12 +54,16 @@ ReplicaStore::ReplicaStore(std::string dir) : dir_(std::move(dir)) {
     char* end = nullptr;
     long r = std::strtol(name.c_str() + 5, &end, 10);
     if (end == nullptr || std::string(end) != ".crpmsnap") continue;
+    // Only the header here: open_peer scans the file.
+    snapshot::ArchiveHeader h;
+    const int fd = ::open(e.path().c_str(), O_RDONLY);
+    const bool ok = fd >= 0 && durable_file::read_at(fd, &h, sizeof(h), 0) &&
+                    snapshot::header_valid(h);
+    if (fd >= 0) ::close(fd);
+    if (!ok) continue;
     std::lock_guard<std::mutex> lk(mu_);
-    ArchiveReader reader(e.path().string());
-    if (!reader.ok()) continue;
-    open_peer(static_cast<int>(r), reader.scan().header.block_size,
-              reader.scan().header.region_size,
-              reader.scan().header.segment_size);
+    open_peer(static_cast<int>(r), h.block_size, h.region_size,
+              h.segment_size);
   }
 }
 
@@ -96,6 +100,13 @@ ReplicaStore::PeerFile* ReplicaStore::open_peer(int origin,
   bool reuse = false;
   {
     ArchiveReader reader(path);
+    if (reader.scan().read_error) {
+      // Not a torn tail: the unread bytes may be acked frames, so neither
+      // truncate nor re-create the file.
+      CRPM_LOG_WARN("replica store %s: peer %d file unreadable; refusing it",
+                    dir_.c_str(), origin);
+      return nullptr;
+    }
     if (reader.ok()) {
       const auto& h = reader.scan().header;
       if (h.block_size != block_size || h.region_size != region_size) {

@@ -171,10 +171,8 @@ void ReplNode::sender() {
                            ? cfg_.ack_timeout_us
                            : static_cast<uint64_t>(
                                  static_cast<double>(p.backoff_us) *
-                                 cfg_.backoff);
-        if (p.backoff_us > cfg_.max_backoff_us) {
-          p.backoff_us = cfg_.max_backoff_us;
-        }
+                                 kBackoff);
+        if (p.backoff_us > kMaxBackoffUs) p.backoff_us = kMaxBackoffUs;
         p.next_send_us = now + p.backoff_us;
         if (p.next_send_us < next_deadline) next_deadline = p.next_send_us;
       }
@@ -425,9 +423,10 @@ void ReplNode::handle_pull(const ReplMsgHeader& h, int src) {
   std::vector<uint8_t> buf;
   for (size_t i = 0; i < frames.size(); ++i) {
     buf.resize(frames[i].bytes);
-    ssize_t n = ::pread(fd, buf.data(), buf.size(),
-                        static_cast<off_t>(frames[i].offset));
-    if (n != static_cast<ssize_t>(buf.size())) break;
+    if (!durable_file::read_at(fd, buf.data(), buf.size(),
+                               frames[i].offset)) {
+      break;
+    }
     ReplMsgHeader resp;
     resp.type = kPullFrame;
     resp.origin = h.origin;

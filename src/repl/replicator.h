@@ -60,10 +60,9 @@ struct ReplConfig {
   // Frames buffered for sending before the enqueuing (writer) thread
   // blocks. Backpressure, never data loss.
   uint32_t queue_depth = 16;
-  // Initial retransmit timeout; doubles per retry up to max_backoff_us.
+  // Initial retransmit timeout; doubles per retry up to 64 ms
+  // (ReplNode::kMaxBackoffUs).
   uint64_t ack_timeout_us = 2000;
-  double backoff = 2.0;
-  uint64_t max_backoff_us = 64 * 1000;
   // Send attempts per frame per partner before giving up (graceful
   // degradation: the epoch is counted dropped for that partner and the
   // stream continues). 0 = retry forever.
@@ -101,6 +100,10 @@ class ReplNode {
 
   ReplNode(const ReplNode&) = delete;
   ReplNode& operator=(const ReplNode&) = delete;
+
+  // Retransmit backoff: each retry doubles the timeout, up to this cap.
+  static constexpr double kBackoff = 2.0;
+  static constexpr uint64_t kMaxBackoffUs = 64 * 1000;
 
   // Registers this node as `w`'s frame observer and binds the container's
   // CrpmStats for the repl_* counters. The node must outlive the writer

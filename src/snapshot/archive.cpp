@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "snapshot/workers.h"
+#include "util/durable_file.h"
 #include "util/logging.h"
 
 namespace crpm::snapshot {
@@ -25,21 +26,6 @@ uint64_t thread_cpu_ns() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-bool pread_exact(int fd, void* buf, size_t len, uint64_t off) {
-  auto* p = static_cast<uint8_t*>(buf);
-  while (len > 0) {
-    ssize_t n = ::pread(fd, p, len, static_cast<off_t>(off));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    off += static_cast<uint64_t>(n);
-    len -= static_cast<size_t>(n);
-  }
-  return true;
-}
-
 std::string warnf(const char* fmt, unsigned long long a,
                   unsigned long long b) {
   char buf[160];
@@ -47,7 +33,108 @@ std::string warnf(const char* fmt, unsigned long long a,
   return buf;
 }
 
+// Stops `scan` at `off` of a `file_size`-byte file on a failed read.
+void read_failed(ScanResult* scan, uint64_t off, uint64_t file_size) {
+  scan->read_error = true;
+  scan->warnings.push_back(
+      warnf("read error at offset %llu: %llu bytes from there on unread",
+            off, file_size - off));
+}
+
 }  // namespace
+
+ScanResult scan_heads(int fd) {
+  ScanResult scan;
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    read_failed(&scan, 0, 0);
+    return scan;
+  }
+  const auto file_size = static_cast<uint64_t>(st.st_size);
+  if (file_size < sizeof(ArchiveHeader)) {
+    scan.warnings.push_back("file too small to be a snapshot archive");
+    return scan;
+  }
+  ArchiveHeader h;
+  if (!durable_file::read_at(fd, &h, sizeof(h), 0)) {
+    read_failed(&scan, 0, file_size);
+    return scan;
+  }
+  if (!header_valid(h)) {
+    scan.warnings.push_back("archive header corrupt or not an archive");
+    return scan;
+  }
+  scan.valid = true;
+  scan.header = h;
+
+  // Whatever stops the walk is the unparseable tail, unless a read failed.
+  uint64_t off = sizeof(ArchiveHeader);
+  uint64_t prev_epoch = 0;
+  uint8_t head[kMaxFrameHeadBytes];
+  while (off + sizeof(FrameHeader) <= file_size) {
+    const size_t avail = static_cast<size_t>(
+        std::min<uint64_t>(sizeof(head), file_size - off));
+    if (!durable_file::read_at(fd, head, avail, off)) {
+      read_failed(&scan, off, file_size);
+      break;
+    }
+    EpochInfo info;
+    info.file_offset = off;
+    const char* why = parse_frame_head(head, avail, h, &info);
+    if (why == nullptr && info.epoch <= prev_epoch) {
+      why = "frame out of epoch order";
+    }
+    if (why == nullptr && off + info.frame_bytes > file_size) {
+      why = "frame truncated mid-append";
+    }
+    if (why != nullptr) {
+      scan.warnings.push_back(
+          why + warnf(" at offset %llu: dropping %llu tail bytes", off,
+                      file_size - off));
+      break;
+    }
+    scan.epochs.push_back(info);
+    prev_epoch = info.epoch;
+    off += info.frame_bytes;
+  }
+  scan.scan_end = off;
+  scan.truncated_bytes = file_size - off;
+  return scan;
+}
+
+bool ChunkPlan::build(const ArchiveHeader& geometry,
+                      const std::vector<LoadedFrame>& frames,
+                      std::string* err) {
+  static const auto page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  // A block never straddles chunks: the chunk size is a multiple of the
+  // block size (both powers of two).
+  block_size_ = geometry.block_size;
+  chunk_size_ = std::max<uint64_t>(geometry.segment_size, page);
+  chunks_.resize((geometry.region_size + chunk_size_ - 1) / chunk_size_);
+  for (auto& c : chunks_) c.clear();
+  const uint64_t rec = record_bytes(block_size_);
+  for (const LoadedFrame& f : frames) {
+    for (uint64_t i = 0; i < f.count; ++i) {
+      const uint8_t* p = f.recs + i * rec;
+      uint64_t idx = 0;
+      std::memcpy(&idx, p, 8);
+      if (idx >= geometry.region_size / block_size_) {
+        if (err) *err = "archived record lies outside the region";
+        return false;
+      }
+      chunks_[idx * block_size_ / chunk_size_].push_back(p);
+    }
+  }
+  return true;
+}
+
+void ChunkPlan::apply(uint64_t c, uint8_t* image) const {
+  for (const uint8_t* p : chunks_[c]) {
+    uint64_t idx = 0;
+    std::memcpy(&idx, p, 8);
+    std::memcpy(image + idx * block_size_, p + 8, block_size_);
+  }
+}
 
 ArchiveReader::ArchiveReader(const std::string& path, uint32_t scan_workers) {
   run_scan(path, scan_workers);
@@ -60,53 +147,13 @@ ArchiveReader::~ArchiveReader() {
 void ArchiveReader::run_scan(const std::string& path, uint32_t workers) {
   fd_ = ::open(path.c_str(), O_RDONLY);
   if (fd_ < 0) {
+    scan_.read_error = errno != ENOENT;
     scan_.warnings.push_back("cannot open archive: " +
                              std::string(std::strerror(errno)));
     return;
   }
-  struct stat st{};
-  if (::fstat(fd_, &st) != 0) return;
-  const auto file_size = static_cast<uint64_t>(st.st_size);
-  if (file_size < sizeof(ArchiveHeader)) {
-    scan_.warnings.push_back("file too small to be a snapshot archive");
-    return;
-  }
-  ArchiveHeader h;
-  if (!pread_exact(fd_, &h, sizeof(h), 0) || !header_valid(h)) {
-    scan_.warnings.push_back("archive header corrupt or not an archive");
-    return;
-  }
-  scan_.valid = true;
-  scan_.header = h;
-
-  // Pass 1: walk the frame heads, which carry each frame's length.
-  // Whatever stops the walk is the unparseable tail.
-  std::string tail_warning;
-  uint64_t off = sizeof(ArchiveHeader);
-  uint64_t prev_epoch = 0;
-  uint8_t head[kMaxFrameHeadBytes];
-  while (off + sizeof(FrameHeader) <= file_size) {
-    const size_t avail = static_cast<size_t>(
-        std::min<uint64_t>(sizeof(head), file_size - off));
-    if (!pread_exact(fd_, head, avail, off)) break;
-    EpochInfo info;
-    info.file_offset = off;
-    const char* why = parse_frame_head(head, avail, h, &info);
-    if (why == nullptr && info.epoch <= prev_epoch) {
-      why = "frame out of epoch order";
-    }
-    if (why == nullptr && off + info.frame_bytes > file_size) {
-      why = "frame truncated mid-append";
-    }
-    if (why != nullptr) {
-      tail_warning = why + warnf(" at offset %llu: dropping %llu tail bytes",
-                                 off, file_size - off);
-      break;
-    }
-    scan_.epochs.push_back(info);
-    prev_epoch = info.epoch;
-    off += info.frame_bytes;
-  }
+  scan_ = scan_heads(fd_);
+  if (!scan_.valid && !scan_.read_error) return;
 
   // Pass 2: every frame's check, claimed off a shared cursor; each worker
   // reads through one buffer.
@@ -121,25 +168,28 @@ void ArchiveReader::run_scan(const std::string& path, uint32_t workers) {
   });
 
   // Verdicts in file order, as a front-to-back scan reports them: a frame
-  // that cannot be read ends the scan there, like an I/O error mid-walk.
+  // that cannot be read ends the scan there, like a failed head read.
+  std::vector<std::string> frame_warnings;
   for (size_t i = 0; i < n; ++i) {
     const EpochInfo& info = scan_.epochs[i];
     if (!read_ok[i]) {
-      off = info.file_offset;
+      const uint64_t file_size = scan_.scan_end + scan_.truncated_bytes;
+      scan_.warnings.clear();
+      read_failed(&scan_, info.file_offset, file_size);
+      scan_.scan_end = info.file_offset;
+      scan_.truncated_bytes = file_size - info.file_offset;
       scan_.epochs.resize(i);
-      tail_warning.clear();
       break;
     }
     if (!info.intact) {
-      scan_.warnings.push_back(warnf(
+      frame_warnings.push_back(warnf(
           "epoch %llu at offset %llu failed CRC verification: skipping "
           "corrupt frame",
           info.epoch, info.file_offset));
     }
   }
-  if (!tail_warning.empty()) scan_.warnings.push_back(tail_warning);
-  scan_.scan_end = off;
-  scan_.truncated_bytes = file_size - off;
+  scan_.warnings.insert(scan_.warnings.begin(), frame_warnings.begin(),
+                        frame_warnings.end());
   for (const auto& w : scan_.warnings) {
     CRPM_LOG_WARN("archive %s: %s", path.c_str(), w.c_str());
   }
@@ -149,7 +199,8 @@ bool ArchiveReader::frame_intact(const EpochInfo& info,
                                  std::vector<uint8_t>* buf,
                                  bool* read_ok) const {
   buf->resize(info.frame_bytes);
-  *read_ok = pread_exact(fd_, buf->data(), buf->size(), info.file_offset);
+  *read_ok =
+      durable_file::read_at(fd_, buf->data(), buf->size(), info.file_offset);
   return *read_ok && check_frame(buf->data(), buf->size(), scan_.header);
 }
 
@@ -193,155 +244,25 @@ bool ArchiveReader::latest_restorable(uint64_t* epoch) const {
   return false;
 }
 
-bool ArchiveReader::apply_records(const uint8_t* recs, uint64_t block_count,
-                                  std::vector<uint8_t>* image,
-                                  std::string* err) const {
-  const uint64_t bs = scan_.header.block_size;
-  const uint64_t rec = record_bytes(bs);
-  const uint8_t* p = recs;
-  for (uint64_t i = 0; i < block_count; ++i, p += rec) {
-    uint64_t idx = 0;
-    std::memcpy(&idx, p, 8);
-    uint32_t stored = 0;
-    std::memcpy(&stored, p + rec - 4, 4);
-    if (stored != crc32(p, rec - 4) ||
-        (idx + 1) * bs > image->size()) {
-      if (err) *err = "record CRC mismatch while applying epoch frame";
-      return false;
-    }
-    std::memcpy(image->data() + idx * bs, p + 8, bs);
-  }
-  return true;
-}
-
-bool ArchiveReader::apply_records_parallel(
-    const uint8_t* recs, uint64_t block_count, uint32_t workers,
-    std::vector<uint8_t>* image, std::string* err, uint64_t* cpu_total,
-    uint64_t* cpu_critical) const {
-  const uint64_t bs = scan_.header.block_size;
-  const uint64_t seg = scan_.header.segment_size;
-  const uint64_t rec = record_bytes(bs);
-  // Partition records by owning segment, segments round-robin over the
-  // workers — the commit_shards layout applied to the read path. Block
-  // indices are unique within a frame, so shard applies never alias.
-  // Record indices stay 64-bit end to end: a frame can legitimately carry
-  // >= 2^32 records, and truncated indices would restore silently wrong
-  // bytes instead of failing.
-  std::vector<std::vector<uint64_t>> shards(workers);
-  for (uint64_t i = 0; i < block_count; ++i) {
-    uint64_t idx = 0;
-    std::memcpy(&idx, recs + i * rec, 8);
-    shards[(idx * bs / seg) % workers].push_back(i);
-  }
-  std::vector<std::atomic<uint64_t>> cursors(workers);
-  for (auto& c : cursors) c.store(0, std::memory_order_relaxed);
-  std::atomic<int> bad_shard{-1};
-  // Apply CPU is accounted per SHARD, not per thread: stealing means one
-  // thread may drain several shards (on a single-core host the first
-  // runner drains them all), but the max per-shard CPU still reports how
-  // evenly the sharding spread the work — the same convention as the
-  // commit pipeline's flush accounting, meaningful on any core count.
-  std::vector<std::atomic<uint64_t>> shard_ns(workers);
-  for (auto& ns : shard_ns) ns.store(0, std::memory_order_relaxed);
-  // Records are small (a block plus header), so claiming them one at a
-  // time turns the shared cursors into an atomic-RMW hot spot; claiming
-  // batches keeps the contention negligible while stealing still balances
-  // at batch granularity.
-  constexpr uint64_t kClaimBatch = 128;
-  auto sweep = [&](uint32_t self) {
-    // Own shard first, then steal from lagging shards.
-    for (uint32_t pass = 0; pass < workers; ++pass) {
-      const uint32_t s = (self + pass) % workers;
-      const uint64_t shard_size = shards[s].size();
-      for (;;) {
-        if (bad_shard.load(std::memory_order_relaxed) >= 0) break;
-        const uint64_t at =
-            cursors[s].fetch_add(kClaimBatch, std::memory_order_relaxed);
-        if (at >= shard_size) break;
-        const uint64_t end = std::min(at + kClaimBatch, shard_size);
-        const uint64_t t0 = thread_cpu_ns();
-        for (uint64_t j = at; j < end; ++j) {
-          const uint8_t* p = recs + shards[s][j] * rec;
-          uint64_t idx = 0;
-          std::memcpy(&idx, p, 8);
-          uint32_t stored = 0;
-          std::memcpy(&stored, p + rec - 4, 4);
-          if (stored != crc32(p, rec - 4) ||
-              (idx + 1) * bs > image->size()) {
-            int expect = -1;
-            bad_shard.compare_exchange_strong(expect, static_cast<int>(s));
-            break;
-          }
-          std::memcpy(image->data() + idx * bs, p + 8, bs);
-        }
-        shard_ns[s].fetch_add(thread_cpu_ns() - t0,
-                              std::memory_order_relaxed);
-      }
-    }
-  };
-  run_workers(workers, sweep);
-  uint64_t max_ns = 0;
-  for (auto& ns : shard_ns) {
-    const uint64_t v = ns.load(std::memory_order_relaxed);
-    *cpu_total += v;
-    max_ns = std::max(max_ns, v);
-  }
-  *cpu_critical += max_ns;
-  const int bad = bad_shard.load(std::memory_order_relaxed);
-  if (bad >= 0) {
-    if (err) {
-      *err = "record CRC mismatch while applying epoch frame (restore "
-             "shard " +
-             std::to_string(bad) + " of " + std::to_string(workers) + ")";
-    }
-    return false;
-  }
-  return true;
-}
-
-bool ArchiveReader::apply_span(const uint8_t* recs, uint64_t block_count,
-                               uint32_t workers, std::vector<uint8_t>* image,
-                               std::string* err, RestorePerf* perf) const {
-  uint64_t cpu_total = 0;
-  uint64_t cpu_critical = 0;
-  bool ok;
-  if (workers <= 1 || block_count == 0) {
-    const uint64_t t0 = thread_cpu_ns();
-    ok = apply_records(recs, block_count, image, err);
-    cpu_total = cpu_critical = thread_cpu_ns() - t0;
-  } else {
-    ok = apply_records_parallel(recs, block_count, workers, image, err,
-                                &cpu_total, &cpu_critical);
-  }
-  if (perf != nullptr) {
-    perf->frames += 1;
-    perf->records += block_count;
-    perf->apply_ns_total += cpu_total;
-    perf->apply_ns_critical += cpu_critical;
-  }
-  return ok;
-}
-
 const char* ArchiveReader::load_frame(const EpochInfo& info,
                                       std::vector<uint8_t>* coded,
                                       LoadedFrame* f) const {
-  if (is_coded_kind(info.kind)) {
-    coded->resize(info.frame_bytes);
-    if (!pread_exact(fd_, coded->data(), coded->size(), info.file_offset)) {
-      return "archive read failed while applying coded frame";
-    }
+  const bool is_coded = is_coded_kind(info.kind);
+  std::vector<uint8_t>* raw = is_coded ? coded : &f->buf;
+  raw->resize(info.frame_bytes);
+  if (!durable_file::read_at(fd_, raw->data(), raw->size(),
+                             info.file_offset)) {
+    return "archive read failed while loading chain frame";
+  }
+  if (is_coded) {
     if (!decode_frame(coded->data(), coded->size(), scan_.header, &f->buf)) {
       return "coded frame failed CRC verification or decode";
     }
-    f->recs = f->buf.data() + sizeof(FrameHeader);
-    return nullptr;
+  } else if (!check_frame(f->buf.data(), f->buf.size(), scan_.header)) {
+    return "epoch frame failed CRC verification while loading";
   }
-  f->buf.resize(info.block_count * record_bytes(scan_.header.block_size));
-  if (!pread_exact(fd_, f->buf.data(), f->buf.size(),
-                   info.file_offset + sizeof(FrameHeader))) {
-    return "archive read failed while applying epoch frame";
-  }
-  f->recs = f->buf.data();
+  f->recs = f->buf.data() + sizeof(FrameHeader);
+  f->count = info.block_count;
   return nullptr;
 }
 
@@ -371,7 +292,9 @@ bool ArchiveReader::load_frames(const std::vector<EpochInfo>& frames,
 bool ArchiveReader::frame_roots(const EpochInfo& info,
                                 std::array<uint64_t, kNumRoots>* roots) const {
   FrameHeader fh;
-  if (!pread_exact(fd_, &fh, sizeof(fh), info.file_offset)) return false;
+  if (!durable_file::read_at(fd_, &fh, sizeof(fh), info.file_offset)) {
+    return false;
+  }
   std::memcpy(roots->data(), fh.roots, sizeof(fh.roots));
   return true;
 }
@@ -399,34 +322,46 @@ bool ArchiveReader::chain(uint64_t epoch, std::vector<EpochInfo>* frames,
 
 bool ArchiveReader::state_at(uint64_t epoch, std::vector<uint8_t>* image,
                              std::array<uint64_t, kNumRoots>* roots,
-                             std::string* err) const {
-  return state_at(epoch, image, roots, err, 1, nullptr);
-}
-
-bool ArchiveReader::state_at(uint64_t epoch, std::vector<uint8_t>* image,
-                             std::array<uint64_t, kNumRoots>* roots,
                              std::string* err, uint32_t workers,
                              RestorePerf* perf) const {
   std::vector<EpochInfo> frames;
   if (!chain(epoch, &frames, err)) return false;
   workers = pool_size(workers);
   if (perf != nullptr) perf->workers = workers;
-  image->assign(scan_.header.region_size, 0);
-  // Decode one window ahead, then apply it in chain order; the window's
-  // buffers are reused by the next one.
-  const size_t window = size_t{workers} * kDecodeAheadPerWorker;
-  std::vector<LoadedFrame> loaded;
-  for (size_t first = 0; first < frames.size(); first += window) {
-    const size_t last = std::min(first + window, frames.size());
-    if (!load_frames(frames, first, last, workers, &loaded, err)) {
+  const uint64_t region = scan_.header.region_size;
+  image->assign(region, 0);
+  ChunkPlan plan;
+  std::vector<std::atomic<uint64_t>> shard_ns(workers);
+  for (size_t first = 0, last = 0; first < frames.size(); first = last) {
+    uint64_t decoded = frames[first].raw_bytes;
+    for (last = first + 1; last < frames.size() &&
+                           decoded + frames[last].raw_bytes <= region;
+         ++last) {
+      decoded += frames[last].raw_bytes;
+    }
+    std::vector<LoadedFrame> window;
+    if (!load_frames(frames, first, last, workers, &window, err) ||
+        !plan.build(scan_.header, window, err)) {
       return false;
     }
-    for (size_t k = first; k < last; ++k) {
-      if (!apply_span(loaded[k - first].recs, frames[k].block_count,
-                      workers, image, err, perf)) {
-        return false;
-      }
+    for (auto& ns : shard_ns) ns.store(0, std::memory_order_relaxed);
+    claim_each(plan.chunks(), workers, [&](uint64_t c, uint32_t) {
+      const uint64_t t0 = thread_cpu_ns();
+      plan.apply(c, image->data());
+      shard_ns[c % workers].fetch_add(thread_cpu_ns() - t0,
+                                      std::memory_order_relaxed);
+      return true;
+    });
+    if (perf == nullptr) continue;
+    uint64_t max_ns = 0;
+    for (auto& ns : shard_ns) {
+      const uint64_t v = ns.load(std::memory_order_relaxed);
+      perf->apply_ns_total += v;
+      max_ns = std::max(max_ns, v);
     }
+    perf->apply_ns_critical += max_ns;
+    perf->frames += last - first;
+    for (const LoadedFrame& f : window) perf->records += f.count;
   }
   if (roots != nullptr && !frame_roots(frames.back(), roots)) {
     if (err) *err = "archive read failed while loading roots";

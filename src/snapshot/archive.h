@@ -1,10 +1,13 @@
 // Archive read path: scanning, CRC verification, truncated-tail and
 // corrupt-epoch handling, and state reconstruction.
 //
-// Robustness policy (ISSUE: crash mid-append, bit rot):
+// Robustness policy (crash mid-append, bit rot, I/O errors):
 //   * A frame whose header never made it to disk intact ends the scan —
 //     everything from there on is an unparseable tail (the normal shape of
 //     a crash mid-append) and is reported as truncated bytes.
+//   * A read that fails also ends the scan, with a warning, but is flagged
+//     as a read error: the bytes behind it may be perfectly good frames, so
+//     attach paths refuse the file instead of truncating it.
 //   * A frame with an intact header but a failing record/footer CRC is
 //     *skipped with a warning*: its length is known, so later epochs are
 //     still enumerated. Epochs whose delta chain passes through the corrupt
@@ -33,26 +36,68 @@ struct ScanResult {
   ArchiveHeader header{};
   std::vector<EpochInfo> epochs;  // in file order; epochs strictly ascend
   uint64_t scan_end = 0;          // offset past the last parseable frame
-  uint64_t truncated_bytes = 0;   // unparseable tail dropped by the scan
+  uint64_t truncated_bytes = 0;   // tail dropped by the scan (torn or unread)
+  // The scan stopped at a failed read, not at a torn tail: the bytes from
+  // scan_end on may still hold acked frames, so nothing may truncate them.
+  bool read_error = false;
   std::vector<std::string> warnings;
 };
 
-// Thread-CPU accounting for the record apply inside state_at().
-// `apply_ns_total` sums the CLOCK_THREAD_CPUTIME_ID time spent applying
-// records; `apply_ns_critical` max-reduces the per-SHARD apply time of
-// each frame (the critical path of the sharding), mirroring the async
-// commit pipeline's shard_flush_ns convention. Attributing the time to
-// the shard rather than the applying thread keeps the ratio meaningful
-// on any core count: work stealing lets one thread drain every shard on
-// a loaded or single-core host, but the shards themselves still carry an
-// even split, so total/critical still reads ~workers when the sharding
-// spreads the work and collapses to ~1 when it stops doing so.
+// The scan's first pass: reads the archive header of the open file `fd`
+// and walks the frame heads, which carry each frame's geometry, epoch and
+// length, up to the torn tail or a read error. Reads no frame body, so no
+// `intact` is set. The reader's scan and the archive writer's attach both
+// run it.
+ScanResult scan_heads(int fd);
+
+// Thread-CPU accounting for the chunk apply of a blocking restore. Each
+// window of the chain is applied as one ChunkPlan; chunk c's apply time
+// counts toward shard c % workers. `apply_ns_total` sums every chunk's
+// CLOCK_THREAD_CPUTIME_ID apply time; `apply_ns_critical` sums, over the
+// windows, the largest shard's. Attributing the time to the shard rather
+// than the applying thread keeps the ratio meaningful on any core count:
+// the pool's claiming lets one thread drain every chunk on a loaded or
+// single-core host, but the shards still carry an even split, so
+// total/critical still reads ~workers when the chunks spread the work and
+// collapses to ~1 when they stop doing so.
 struct RestorePerf {
   uint32_t workers = 1;
   uint64_t frames = 0;
   uint64_t records = 0;
   uint64_t apply_ns_total = 0;
   uint64_t apply_ns_critical = 0;
+};
+
+// One chain frame as a restore works from it: `recs` points at its `count`
+// records (record_bytes(block_size) bytes each) inside `buf`, which holds
+// the decoded plain frame of a coded frame and the whole plain frame
+// otherwise.
+struct LoadedFrame {
+  std::vector<uint8_t> buf;
+  const uint8_t* recs = nullptr;
+  uint64_t count = 0;
+};
+
+// The per-chunk apply plan of a run of loaded chain frames, shared by the
+// blocking and the lazy restore. A chunk is max(segment, page) bytes of
+// the region; the plan lists, per chunk, the records landing in it in
+// chain order, so the chunks can be applied in any order, on any threads,
+// and still give the chain's image.
+class ChunkPlan {
+ public:
+  // Plans `frames` (in chain order) over the archive `geometry`. False
+  // with `err` when a record's block lies outside the region.
+  bool build(const ArchiveHeader& geometry,
+             const std::vector<LoadedFrame>& frames, std::string* err);
+  // Copies chunk `c`'s records into `image` (the region's bytes).
+  void apply(uint64_t c, uint8_t* image) const;
+  uint64_t chunk_size() const { return chunk_size_; }
+  uint64_t chunks() const { return chunks_.size(); }
+
+ private:
+  uint64_t block_size_ = 0;
+  uint64_t chunk_size_ = 0;
+  std::vector<std::vector<const uint8_t*>> chunks_;
 };
 
 class ArchiveReader {
@@ -79,54 +124,33 @@ class ArchiveReader {
 
   // Reconstructs the working state at `epoch` into `image` (resized to the
   // archive's region size) and the committed roots into `roots` (may be
-  // null). Returns false with `err` set if the epoch is not restorable or
-  // re-reading the frames hits an I/O error.
-  bool state_at(uint64_t epoch, std::vector<uint8_t>* image,
-                std::array<uint64_t, kNumRoots>* roots,
-                std::string* err) const;
-
-  // Parallel variant: the chain loader decodes a window of
-  // kDecodeAheadPerWorker * workers frames ahead (the most it holds
-  // decoded at once), then the window's frames are applied in chain
-  // order. `workers` threads shard each frame's record apply by
-  // owning segment (seg % workers) with work stealing, each worker
-  // re-verifying the CRC of every record it applies, so corruption is
-  // pinned to the shard that owns it. Block indices are unique within a
-  // frame, so the sharded memcpys never alias. workers <= 1 is the serial
-  // path. `perf` (may be null) accumulates thread-CPU apply cost for
-  // benchmarking.
+  // null): the blocking restore. False with `err` set if the epoch is not
+  // restorable or re-reading the frames hits an I/O error or a failed
+  // check. The chain is applied in windows whose decoded bytes
+  // (FrameInfo::raw_bytes) sum to at most the region size, a larger frame
+  // being a window of its own, so at most max(region, one frame) decoded
+  // bytes are held at once. Each window is loaded by load_frames, planned
+  // as one ChunkPlan and applied by `workers` threads claiming chunks.
+  // `perf` (may be null) accumulates the apply's thread CPU.
   bool state_at(uint64_t epoch, std::vector<uint8_t>* image,
                 std::array<uint64_t, kNumRoots>* roots, std::string* err,
-                uint32_t workers, RestorePerf* perf) const;
+                uint32_t workers = 1, RestorePerf* perf = nullptr) const;
 
   // The intact frame chain reconstructing `epoch`, base (or implicit
   // all-zero start) through target, in file order. False with `err` when
-  // the epoch is not restorable. Lets callers stage their own apply (the
-  // lazy restorer materializes per-chunk instead of front-to-back).
+  // the epoch is not restorable.
   bool chain(uint64_t epoch, std::vector<EpochInfo>* frames,
              std::string* err) const;
 
-  // One chain frame as a restore works from it: `recs` points at its
-  // block_count records (record_bytes(block_size) bytes each) inside
-  // `buf`, which holds the decoded plain frame of a coded frame and the
-  // record region of a plain one.
-  struct LoadedFrame {
-    std::vector<uint8_t> buf;
-    const uint8_t* recs = nullptr;
-  };
-
   // The chain loader: reads frames[first, last) into out[0, last - first),
   // each exactly once, over `workers` threads claiming frames off a
-  // shared cursor, the caller included (<= 1 runs inline). A coded frame
-  // passes its encoded CRC, is decoded once and passes its raw CRC; a
-  // plain frame's record CRCs were checked by the scan. Buffers already in
-  // `out` are reused. False with `err` on a read or check failure.
+  // shared cursor, the caller included (<= 1 runs inline). Every byte is
+  // checked after this, its last read: a plain frame passes check_frame,
+  // a coded frame its encoded CRC and, decoded, its raw CRC. False with
+  // `err` on a read or check failure.
   bool load_frames(const std::vector<EpochInfo>& frames, size_t first,
                    size_t last, uint32_t workers,
                    std::vector<LoadedFrame>* out, std::string* err) const;
-
-  // Decoded frames the blocking state_at holds per worker.
-  static constexpr uint32_t kDecodeAheadPerWorker = 2;
 
   // Reads the committed roots stored in frame `info`'s header.
   bool frame_roots(const EpochInfo& info,
@@ -146,17 +170,6 @@ class ArchiveReader {
   // Index into scan_.epochs of the chain start for `epoch`, or -1.
   int chain_start(uint64_t epoch) const;
   int index_of(uint64_t epoch) const;
-  // Record-region apply shared by the plain and decoded paths; dispatches
-  // to the serial or sharded implementation and accounts `perf`.
-  bool apply_span(const uint8_t* recs, uint64_t block_count,
-                  uint32_t workers, std::vector<uint8_t>* image,
-                  std::string* err, RestorePerf* perf) const;
-  bool apply_records(const uint8_t* recs, uint64_t block_count,
-                     std::vector<uint8_t>* image, std::string* err) const;
-  bool apply_records_parallel(const uint8_t* recs, uint64_t block_count,
-                              uint32_t workers, std::vector<uint8_t>* image,
-                              std::string* err, uint64_t* cpu_total,
-                              uint64_t* cpu_critical) const;
 
   int fd_ = -1;
   ScanResult scan_;

@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "snapshot/workers.h"
-#include "tier/cold.h"
 #include "util/logging.h"
 
 namespace crpm::snapshot {
@@ -32,10 +31,6 @@ struct FaultRegistry {
 FaultRegistry g_faults;
 
 }  // namespace
-
-struct LazyRestorer::Plan {
-  std::vector<const uint8_t*> recs;  // chain-ordered records for the chunk
-};
 
 // Routes SIGSEGV on a restorer's read view to that restorer's chunk apply.
 // Everything on this path is async-signal-safe: atomics, memcpy into the
@@ -108,8 +103,8 @@ bool LazyRestorer::owns(const void* addr) const {
 void LazyRestorer::materialize_addr(const void* addr) {
   const uint64_t off =
       static_cast<uint64_t>(static_cast<const uint8_t*>(addr) - read_base_);
-  const uint64_t ci = off / chunk_size_;
-  if (ci < nr_chunks_) materialize(ci);
+  const uint64_t ci = off / plan_.chunk_size();
+  if (ci < plan_.chunks()) materialize(ci);
 }
 
 void LazyRestorer::materialize(uint64_t chunk_index) {
@@ -122,14 +117,10 @@ void LazyRestorer::materialize(uint64_t chunk_index) {
     while (st.load(std::memory_order_acquire) != kReady) ::sched_yield();
     return;
   }
-  for (const uint8_t* p : plans_[chunk_index].recs) {
-    uint64_t idx = 0;
-    std::memcpy(&idx, p, 8);
-    std::memcpy(write_base_ + idx * block_size_, p + 8, block_size_);
-  }
+  plan_.apply(chunk_index, write_base_);
   if (read_base_ != write_base_) {
-    const uint64_t off = chunk_index * chunk_size_;
-    const uint64_t len = std::min(chunk_size_, map_size_ - off);
+    const uint64_t off = chunk_index * plan_.chunk_size();
+    const uint64_t len = std::min(plan_.chunk_size(), map_size_ - off);
     ::mprotect(read_base_ + off, len, PROT_READ);
   }
   st.store(kReady, std::memory_order_release);
@@ -140,14 +131,15 @@ void LazyRestorer::materialize(uint64_t chunk_index) {
 void LazyRestorer::ensure_range(uint64_t off, uint64_t len) {
   if (!ok_ || len == 0 || off >= region_size_) return;
   const uint64_t end = std::min(off + len, region_size_);
-  for (uint64_t ci = off / chunk_size_; ci * chunk_size_ < end; ++ci) {
+  const uint64_t chunk = plan_.chunk_size();
+  for (uint64_t ci = off / chunk; ci * chunk < end; ++ci) {
     materialize(ci);
   }
 }
 
 void LazyRestorer::materialize_all(uint32_t workers) {
   if (!ok_) return;
-  claim_each(nr_chunks_, workers, [&](uint64_t ci, uint32_t) {
+  claim_each(plan_.chunks(), workers, [&](uint64_t ci, uint32_t) {
     materialize(ci);
     if (throttle_us_ > 0) ::usleep(static_cast<useconds_t>(throttle_us_));
     return true;
@@ -158,103 +150,35 @@ bool LazyRestorer::start(const std::string& archive_path, uint64_t epoch,
                          const CrpmOptions& opt) {
   CRPM_CHECK(write_base_ == nullptr, "LazyRestorer::start called twice");
   // Geometry comes from the archive header; opt sizes the worker pool.
+  // The whole chain is one window: loaded once, planned once, and applied
+  // per chunk on fault and by the sweep.
   const uint32_t workers = pool_size(opt.restore_workers);
-  uint64_t target = epoch;
-  std::vector<EpochInfo> chain;
-  bool have = false;
-  std::string hot_error;
-  std::unique_ptr<ArchiveReader> cold_reader;
-  ArchiveReader reader(archive_path, workers);
-  const ArchiveReader* src = &reader;
-  warnings_ = reader.scan().warnings;
-  if (!reader.ok()) {
-    hot_error = "not a valid snapshot archive: " + archive_path;
-  } else {
-    bool have_target = true;
-    if (target == Container::kLatestEpoch) {
-      if (reader.latest_restorable(&target)) {
-        const auto& epochs = reader.scan().epochs;
-        if (!epochs.empty() && epochs.back().epoch != target) {
-          warnings_.push_back("newest archived epoch " +
-                              std::to_string(epochs.back().epoch) +
-                              " is not restorable; falling back to epoch " +
-                              std::to_string(target));
-        }
-      } else {
-        have_target = false;
-        hot_error = "archive holds no restorable epoch";
-      }
+  ArchiveHeader h;
+  auto stage = [&](const ArchiveReader& reader, uint64_t target,
+                   std::string* err) {
+    std::vector<EpochInfo> chain;
+    h = reader.scan().header;
+    if (!reader.chain(target, &chain, err) ||
+        !reader.load_frames(chain, 0, chain.size(), workers, &frames_,
+                            err) ||
+        !plan_.build(h, frames_, err)) {
+      return false;
     }
-    if (have_target && reader.chain(target, &chain, &hot_error)) {
-      have = true;
+    if (!reader.frame_roots(chain.back(), &roots_)) {
+      *err = "archive read failed while loading roots";
+      return false;
     }
-  }
-  if (!have) {
-    // Same cold-tier fallback as restore(): a cold base is a standalone
-    // one-frame archive, so the chain is that single frame.
-    auto entries = tier::ColdTier::list_for_archive(archive_path);
-    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-      if (epoch != Container::kLatestEpoch && it->epoch != epoch) continue;
-      cold_reader = std::make_unique<ArchiveReader>(it->path, workers);
-      std::string cerr;
-      if (cold_reader->ok() &&
-          cold_reader->chain(it->epoch, &chain, &cerr)) {
-        src = cold_reader.get();
-        target = it->epoch;
-        warnings_.push_back("epoch " + std::to_string(target) +
-                            " served from the cold tier");
-        have = true;
-        break;
-      }
-    }
-  }
-  if (!have) {
-    error_ = hot_error;
+    return true;
+  };
+  if (!detail::resolve_chain(archive_path, epoch, workers, stage, &epoch_,
+                             &warnings_, &error_)) {
     return false;
   }
-
-  const ArchiveHeader& h = src->scan().header;
   region_size_ = h.region_size;
-  block_size_ = h.block_size;
   const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
-  chunk_size_ = std::max<uint64_t>(h.segment_size, page);
   map_size_ = (region_size_ + page - 1) / page * page;
-  nr_chunks_ = (region_size_ + chunk_size_ - 1) / chunk_size_;
-
-  if (!src->frame_roots(chain.back(), &roots_)) {
-    error_ = "archive read failed while loading roots";
-    return false;
-  }
-
-  // Stage the chain in DRAM through the chain loader: each frame is read
-  // and decoded once, and the per-chunk apply works from the decoded
-  // frames. Their CRCs were verified by the scan (and by the decode, for
-  // coded frames), so that apply can run from a signal handler without
-  // re-hashing.
-  if (!src->load_frames(chain, 0, chain.size(), workers, &frames_,
-                        &error_)) {
-    return false;
-  }
-
-  // Build the per-chunk apply plans. A block never straddles chunks:
-  // chunk_size_ is a multiple of block_size_ (both powers of two).
-  const uint64_t rec = record_bytes(block_size_);
-  plans_.assign(nr_chunks_, Plan{});
-  for (size_t fi = 0; fi < frames_.size(); ++fi) {
-    const uint8_t* base = frames_[fi].recs;
-    for (uint64_t i = 0; i < chain[fi].block_count; ++i) {
-      const uint8_t* p = base + i * rec;
-      uint64_t idx = 0;
-      std::memcpy(&idx, p, 8);
-      if ((idx + 1) * block_size_ > region_size_) {
-        error_ = "archived record lies outside the region";
-        return false;
-      }
-      plans_[idx * block_size_ / chunk_size_].recs.push_back(p);
-    }
-  }
-  chunk_state_ = std::make_unique<std::atomic<uint8_t>[]>(nr_chunks_);
-  for (uint64_t i = 0; i < nr_chunks_; ++i) {
+  chunk_state_ = std::make_unique<std::atomic<uint8_t>[]>(plan_.chunks());
+  for (uint64_t i = 0; i < plan_.chunks(); ++i) {
     chunk_state_[i].store(kCold, std::memory_order_relaxed);
   }
 
@@ -296,7 +220,6 @@ bool LazyRestorer::start(const std::string& archive_path, uint64_t epoch,
     throttle_us_ = static_cast<uint64_t>(std::strtoull(t, nullptr, 10));
   }
 
-  epoch_ = target;
   ok_ = true;
   detail::restore_step("lazy.plan");
 

@@ -1,19 +1,18 @@
 // On-demand restore: serve reads of an archived epoch before the full
 // record apply completes.
 //
-// start() does only the cheap part of a restore — scan the archive, pick
-// the target epoch (with the same corrupt-tail fallback as restore()), and
-// stage the chain's verified record regions in DRAM — then maps an
-// initially-empty image. Chunks (one copy-on-write segment, rounded up to
-// a page) materialize on first access: the image is a memfd with two
-// mappings, a private always-writable view the materializer applies
-// records through, and the consumer-facing view data(), whose pages stay
-// PROT_NONE until their chunk is fully applied and flip to PROT_READ only
-// then. A SIGSEGV on the read view materializes the faulted chunk in the
-// handler, so readers that outrun the background sweep block exactly as
-// long as their own chunk's apply — this is what lets KvService answer
-// GETs while restore is still running (time-to-first-query bounded by the
-// scan, not the apply).
+// start() does only the cheap part of a restore — resolve the chain with
+// the same resolver as restore(), load and check it in DRAM, and plan it
+// per chunk — then maps an initially-empty image. Chunks (one copy-on-
+// write segment, rounded up to a page) materialize on first access: the
+// image is a memfd with two mappings, a private always-writable view the
+// materializer applies records through, and the consumer-facing view
+// data(), whose pages stay PROT_NONE until their chunk is fully applied
+// and flip to PROT_READ only then. A SIGSEGV on the read view
+// materializes the faulted chunk in the handler, so readers that outrun
+// the background sweep block exactly as long as their own chunk's apply —
+// this is what lets KvService answer GETs while restore is still running
+// (time-to-first-query bounded by the scan, not the apply).
 //
 // Concurrency: chunk states are a cold -> busy -> ready atomic ladder; the
 // loser of the cold->busy race spins until ready. The read view never
@@ -49,12 +48,12 @@ class LazyRestorer {
   LazyRestorer(const LazyRestorer&) = delete;
   LazyRestorer& operator=(const LazyRestorer&) = delete;
 
-  // Scans `archive_path`, resolves `epoch` (Container::kLatestEpoch falls
-  // back past corrupt tail epochs with a warning, and to the cold tier
-  // when the hot archive cannot serve), loads the chain's record regions
-  // into DRAM, and maps the faulting image. Cost is proportional to the
-  // archived delta bytes read, not to the apply. False on failure (see
-  // error()).
+  // Resolves `epoch` through detail::resolve_chain (Container::kLatestEpoch
+  // falls back past corrupt tail epochs with a warning, and to the cold
+  // tier when the hot archive cannot serve), loads the whole chain into
+  // DRAM as one window, plans it per chunk, and maps the faulting image.
+  // Cost is proportional to the archived delta bytes read, not to the
+  // apply. False on failure (see error()).
   bool start(const std::string& archive_path, uint64_t epoch,
              const CrpmOptions& opt);
 
@@ -79,7 +78,7 @@ class LazyRestorer {
   // tests can reliably race reads against an unfinished restore).
   void materialize_all(uint32_t workers);
 
-  uint64_t chunks_total() const { return nr_chunks_; }
+  uint64_t chunks_total() const { return plan_.chunks(); }
   uint64_t chunks_ready() const {
     return ready_chunks_.load(std::memory_order_acquire);
   }
@@ -92,8 +91,6 @@ class LazyRestorer {
                             const CrpmOptions& opt);
 
  private:
-  struct Plan;  // per-chunk record apply list
-
   void materialize(uint64_t chunk_index);
   bool owns(const void* addr) const;
   void materialize_addr(const void* addr);
@@ -110,15 +107,12 @@ class LazyRestorer {
   std::array<uint64_t, kNumRoots> roots_{};
 
   uint64_t region_size_ = 0;
-  uint64_t block_size_ = 0;
-  uint64_t map_size_ = 0;    // region_size_ rounded up to a page
-  uint64_t chunk_size_ = 0;  // max(segment_size, page size)
-  uint64_t nr_chunks_ = 0;
+  uint64_t map_size_ = 0;  // region_size_ rounded up to a page
   uint8_t* write_base_ = nullptr;  // always-RW apply view
   uint8_t* read_base_ = nullptr;   // PROT_NONE -> PROT_READ consumer view
 
-  std::vector<ArchiveReader::LoadedFrame> frames_;  // the staged chain
-  std::vector<Plan> plans_;
+  std::vector<LoadedFrame> frames_;  // the staged chain
+  ChunkPlan plan_;
   std::unique_ptr<std::atomic<uint8_t>[]> chunk_state_;
   std::atomic<uint64_t> ready_chunks_{0};
   uint64_t throttle_us_ = 0;  // CRPM_LAZY_THROTTLE_US

@@ -91,71 +91,20 @@ RestoreResult publish_container(RestoreResult r, const std::string& tmp,
   return r;
 }
 
-// Cold-tier fallback: serve `epoch` (or the newest cold base when asked
-// for kLatestEpoch) from `<archive>.cold/`. Each cold file is a standalone
-// one-frame archive, so the regular reader handles it; only exact fold
-// epochs are servable (a cold base carries no deltas to replay forward).
-bool read_cold_state(const std::string& archive_path, uint64_t epoch,
-                     uint64_t* chosen, std::vector<uint8_t>* image,
-                     std::array<uint64_t, kNumRoots>* roots,
-                     uint32_t workers, RestorePerf* perf) {
-  auto entries = tier::ColdTier::list_for_archive(archive_path);
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    if (epoch != Container::kLatestEpoch && it->epoch != epoch) continue;
-    ArchiveReader cr(it->path, workers);
-    std::string cerr;
-    if (cr.ok() && cr.state_at(it->epoch, image, roots, &cerr, workers,
-                               perf)) {
-      *chosen = it->epoch;
-      return true;
-    }
-  }
-  return false;
-}
-
-// Reads `epoch` (or the newest restorable one, for kLatestEpoch) from the
-// hot archive, falling back to the cold tier when the hot chain cannot
-// serve it. `chosen` gets the epoch read; `warnings` collects the scan's
-// notes. `err` is set only on failure.
+// The blocking restore's read of `epoch`: the resolved chain applied by
+// ArchiveReader::state_at. `chosen` gets the epoch read.
 bool load_state(const std::string& archive_path, uint64_t epoch,
                 uint32_t workers, std::vector<uint8_t>* image,
                 std::array<uint64_t, kNumRoots>* roots, uint64_t* chosen,
                 std::vector<std::string>* warnings, RestorePerf* perf,
                 std::string* err) {
   workers = pool_size(workers);
-  std::string hot_error;
-  {
-    ArchiveReader reader(archive_path, workers);
-    *warnings = reader.scan().warnings;
-    uint64_t target = epoch;
-    if (!reader.ok()) {
-      hot_error = "not a valid snapshot archive: " + archive_path;
-    } else if (target == Container::kLatestEpoch &&
-               !reader.latest_restorable(&target)) {
-      hot_error = "archive holds no restorable epoch";
-    } else if (reader.state_at(target, image, roots, &hot_error, workers,
-                               perf)) {
-      const auto& epochs = reader.scan().epochs;
-      if (epoch == Container::kLatestEpoch && epochs.back().epoch != target) {
-        warnings->push_back("newest archived epoch " +
-                            std::to_string(epochs.back().epoch) +
-                            " is not restorable; falling back to epoch " +
-                            std::to_string(target));
-      }
-      *chosen = target;
-      return true;
-    }
-  }
-  // The hot archive cannot serve this epoch (compaction folded it away, a
-  // corrupt chain, or the file is gone) — try the cold tier.
-  if (read_cold_state(archive_path, epoch, chosen, image, roots, workers,
-                      perf)) {
-    warnings->push_back("epoch " + std::to_string(*chosen) +
-                        " served from the cold tier");
-    return true;
-  }
-  if (err != nullptr) *err = hot_error;
-  return false;
+  return detail::resolve_chain(
+      archive_path, epoch, workers,
+      [&](const ArchiveReader& reader, uint64_t target, std::string* e) {
+        return reader.state_at(target, image, roots, e, workers, perf);
+      },
+      chosen, warnings, err);
 }
 
 // Restores `epoch` onto the pristine `dev` at its archived epoch. The
@@ -193,7 +142,54 @@ void set_restore_step_hook(RestoreStepHook hook) {
 }
 
 namespace detail {
+
 void restore_step(const char* name) { step(name); }
+
+bool resolve_chain(const std::string& archive_path, uint64_t epoch,
+                   uint32_t workers, const StageChain& stage,
+                   uint64_t* chosen, std::vector<std::string>* warnings,
+                   std::string* err) {
+  std::string hot_error;
+  {
+    ArchiveReader reader(archive_path, workers);
+    *warnings = reader.scan().warnings;
+    uint64_t target = epoch;
+    if (!reader.ok()) {
+      hot_error = "not a valid snapshot archive: " + archive_path;
+    } else if (target == Container::kLatestEpoch &&
+               !reader.latest_restorable(&target)) {
+      hot_error = "archive holds no restorable epoch";
+    } else if (stage(reader, target, &hot_error)) {
+      const uint64_t newest = reader.scan().epochs.back().epoch;
+      if (epoch == Container::kLatestEpoch && newest != target) {
+        warnings->push_back("newest archived epoch " + std::to_string(newest) +
+                            " is not restorable; falling back to epoch " +
+                            std::to_string(target));
+      }
+      *chosen = target;
+      return true;
+    }
+  }
+  // The hot archive cannot serve this epoch (compaction folded it away, a
+  // corrupt chain or frame, a failed read, or the file is gone): try the
+  // cold tier. A cold base is a standalone one-frame archive, so its chain
+  // is that frame, and only exact fold epochs are servable.
+  const auto entries = tier::ColdTier::list_for_archive(archive_path);
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    if (epoch != Container::kLatestEpoch && it->epoch != epoch) continue;
+    ArchiveReader cold(it->path, workers);
+    std::string cold_error;
+    if (cold.ok() && stage(cold, it->epoch, &cold_error)) {
+      *chosen = it->epoch;
+      warnings->push_back("epoch " + std::to_string(it->epoch) +
+                          " served from the cold tier");
+      return true;
+    }
+  }
+  if (err != nullptr) *err = hot_error;
+  return false;
+}
+
 }  // namespace detail
 
 RestoreResult build_container_file(

@@ -14,11 +14,12 @@
 // committed epoch has e's residue mod the metadata replica count, then
 // Container::renumber_epoch(e).
 //
-// opt.restore_workers > 1 runs the archive scan's body checks, the chain
-// loader's read + decode of each frame, and the record apply (segment-
-// sharded with work stealing, per-shard CRC re-verification) on that many
-// threads; the container format/checkpoint that follows stays
-// deterministic.
+// Every restore path, blocking and lazy, runs one pipeline: the chain
+// resolver below picks the archive file and chain that serve the epoch,
+// ArchiveReader::load_frames reads and checks the chain, and a ChunkPlan
+// applies it chunk by chunk. opt.restore_workers > 1 runs the scan's body
+// checks, the loader and the chunk apply on that many threads; the
+// container format/checkpoint that follows stays deterministic.
 #pragma once
 
 #include <array>
@@ -91,6 +92,24 @@ namespace detail {
 // Invokes the restore step hook (no-op when unset). Internal: lets the
 // lazy restorer and scrubber report their steps through the same hook.
 void restore_step(const char* name);
+
+// One restore path's staging of the chain of `target` from `reader`:
+// false with `err` when that chain cannot be loaded or applied.
+using StageChain = std::function<bool(const ArchiveReader& reader,
+                                      uint64_t target, std::string* err)>;
+
+// The one chain resolver of the restore paths. Stages `epoch` (the newest
+// restorable epoch for Container::kLatestEpoch, with a warning when that
+// is not the newest archived one) from the hot archive; when the hot
+// archive cannot serve it, or its chain fails to stage, stages the
+// matching cold base instead (newest first for kLatestEpoch), with a
+// warning. `chosen` gets the epoch staged and `warnings` the hot scan's
+// notes plus those two; `err` the hot archive's failure when nothing
+// serves. The scans run on `workers` threads.
+bool resolve_chain(const std::string& archive_path, uint64_t epoch,
+                   uint32_t workers, const StageChain& stage,
+                   uint64_t* chosen, std::vector<std::string>* warnings,
+                   std::string* err);
 }  // namespace detail
 
 }  // namespace crpm::snapshot

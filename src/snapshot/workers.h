@@ -1,11 +1,6 @@
 // The one worker pool of the restore paths: the scan's body checks, the
-// chain loader, the sharded record apply and the lazy restorer's
-// background sweep all run on it.
-//
-// `workers` threads run the body, the calling thread included as worker 0.
-// With one worker or fewer the body runs inline on the caller, so a test
-// hook that throws (the crash matrix's restore step hook) unwinds the
-// calling thread instead of terminating a worker.
+// chain loader, the chunk apply and the lazy restorer's background sweep
+// all run on it.
 #pragma once
 
 #include <atomic>
@@ -24,38 +19,29 @@ inline uint32_t pool_size(uint32_t requested) {
   return requested > kMaxRestoreWorkers ? kMaxRestoreWorkers : requested;
 }
 
-// Runs body(self) for self in [0, workers) on `workers` threads.
-template <typename Body>
-void run_workers(uint32_t workers, Body&& body) {
-  if (workers <= 1) {
-    body(0u);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (uint32_t w = 1; w < workers; ++w) {
-    pool.emplace_back([&body, w] { body(w); });
-  }
-  body(0u);
-  for (auto& t : pool) t.join();
-}
-
 // Claims the items [0, n) one at a time off a shared cursor, over at most
-// `workers` threads: claim(i, self) runs item i on worker self. A false
-// return stops every worker from claiming further items (items already
-// claimed still finish).
+// `workers` threads, the calling thread included as worker 0: claim(i,
+// self) runs item i on worker self. A false return stops every worker from
+// claiming further items (items already claimed still finish). With one
+// worker or fewer the items run inline on the caller, so a test hook that
+// throws (the crash matrix's restore step hook) unwinds the calling thread
+// instead of terminating a worker.
 template <typename Claim>
 void claim_each(uint64_t n, uint32_t workers, Claim&& claim) {
   std::atomic<uint64_t> cursor{0};
   std::atomic<bool> stop{false};
-  if (workers > n) workers = static_cast<uint32_t>(n);
-  run_workers(workers, [&](uint32_t self) {
+  auto body = [&](uint32_t self) {
     while (!stop.load(std::memory_order_relaxed)) {
       const uint64_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
       if (!claim(i, self)) stop.store(true, std::memory_order_relaxed);
     }
-  });
+  };
+  if (workers > n) workers = static_cast<uint32_t>(n);
+  std::vector<std::thread> pool;
+  for (uint32_t w = 1; w < workers; ++w) pool.emplace_back(body, w);
+  body(0u);
+  for (auto& t : pool) t.join();
 }
 
 }  // namespace crpm::snapshot

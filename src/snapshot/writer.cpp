@@ -85,7 +85,6 @@ std::unique_ptr<ArchiveWriter> ArchiveWriter::attach_if_configured(
   SnapshotOptions s;
   s.compact_every = o.archive_compact_every;
   s.queue_depth = o.archive_queue_depth;
-  s.fsync_each_epoch = o.archive_fsync;
   if (!tier::parse_codec(o.archive_codec, &s.tier.codec)) {
     CRPM_LOG_WARN("archive %s: unknown codec '%s'; appending plain frames",
                   o.archive_path.c_str(), o.archive_codec.c_str());
@@ -114,64 +113,66 @@ void ArchiveWriter::init_file(uint64_t block_size, uint64_t region_size,
   region_size_ = region_size;
   segment_size_ = segment_size;
 
-  // Scan whatever is on disk: adopt an intact archive (continuing its
-  // epoch sequence), truncate a torn tail, or start fresh.
+  // Walk the frame heads on disk: adopt an archive (continuing its epoch
+  // sequence), truncate a torn tail, or start fresh. A failed read is not
+  // a torn tail — the bytes behind it may be acked frames — so it fails
+  // the writer and leaves the file as it is. A failed open, truncate,
+  // write or sync is fatal for the archive file too: the writer goes
+  // failed() and drops every later epoch.
   uint64_t resume_epoch = 0;
-  uint64_t truncate_to = 0;
-  bool reuse = false;
-  {
-    ArchiveReader reader(path_);
-    if (reader.ok()) {
-      const ArchiveHeader& h = reader.scan().header;
-      CRPM_CHECK(h.block_size == block_size && h.region_size == region_size,
-                 "archive %s geometry mismatch: has %llu B blocks / %llu B "
-                 "region",
-                 path_.c_str(), (unsigned long long)h.block_size,
-                 (unsigned long long)h.region_size);
-      if (segment_size_ == 0) segment_size_ = h.segment_size;
-      reuse = true;
-      truncate_to = reader.scan().scan_end;
-      const auto& epochs = reader.scan().epochs;
-      size_t keep = epochs.size();
-      // Reconcile against the container's committed timeline: deltas are
-      // staged before the commit point, so a crash in between (or a
-      // rollback recovery) leaves frames here that the container never
-      // committed. Drop them.
-      while (keep > 0 && epochs[keep - 1].epoch > max_epoch) --keep;
-      if (keep < epochs.size()) {
-        CRPM_LOG_WARN(
-            "archive %s: dropping %zu frame(s) beyond committed epoch %llu",
-            path_.c_str(), epochs.size() - keep,
-            (unsigned long long)max_epoch);
-        truncate_to = epochs[keep].file_offset;
-      }
-      if (keep > 0) resume_epoch = epochs[keep - 1].epoch;
-      if (sopt_.compact_every != 0 && resume_epoch > 0 &&
-          reader.restorable(resume_epoch)) {
-        // Rebuild the running shadow image so post-restart compaction folds
-        // the full history, not just frames appended since the restart.
-        std::string err;
-        if (!reader.state_at(resume_epoch, &shadow_, nullptr, &err)) {
-          shadow_.clear();
-        }
-      }
+  fd_ = ::open(path_.c_str(), O_RDWR);
+  ScanResult scan;
+  if (fd_ >= 0) scan = scan_heads(fd_);
+  bool read_error = scan.read_error;
+  bool io_ok = (fd_ >= 0 || errno == ENOENT) && !read_error;
+  if (io_ok && scan.valid) {
+    const ArchiveHeader& h = scan.header;
+    CRPM_CHECK(h.block_size == block_size && h.region_size == region_size,
+               "archive %s geometry mismatch: has %llu B blocks / %llu B "
+               "region",
+               path_.c_str(), (unsigned long long)h.block_size,
+               (unsigned long long)h.region_size);
+    if (segment_size_ == 0) segment_size_ = h.segment_size;
+    uint64_t truncate_to = scan.scan_end;
+    const auto& epochs = scan.epochs;
+    size_t keep = epochs.size();
+    // Reconcile against the container's committed timeline: deltas are
+    // staged before the commit point, so a crash in between (or a
+    // rollback recovery) leaves frames here that the container never
+    // committed. Drop them.
+    while (keep > 0 && epochs[keep - 1].epoch > max_epoch) --keep;
+    if (keep < epochs.size()) {
+      CRPM_LOG_WARN(
+          "archive %s: dropping %zu frame(s) beyond committed epoch %llu",
+          path_.c_str(), epochs.size() - keep,
+          (unsigned long long)max_epoch);
+      truncate_to = epochs[keep].file_offset;
     }
-  }
-
-  // A failed open, truncate, write or sync is fatal for the archive file:
-  // the writer goes failed() and drops every later epoch.
-  bool io_ok = false;
-  if (reuse) {
-    fd_ = ::open(path_.c_str(), O_RDWR);
+    if (keep > 0) resume_epoch = epochs[keep - 1].epoch;
     // Make the truncation durable before appending: without this, a crash
     // after new appends could resurrect the dropped divergent frames *in
     // front of* the new ones — an epoch-order violation the scanner would
     // misread as a corrupt chain.
-    io_ok = fd_ >= 0 &&
-            ::ftruncate(fd_, static_cast<off_t>(truncate_to)) == 0 &&
+    io_ok = ::ftruncate(fd_, static_cast<off_t>(truncate_to)) == 0 &&
             (!sopt_.fsync_each_epoch || durable_file::sync(fd_));
     append_off_ = truncate_to;
-  } else {
+    if (io_ok && sopt_.compact_every != 0 && resume_epoch > 0) {
+      // Rebuild the running shadow image so post-restart compaction folds
+      // the full history, not just frames appended since the restart. Only
+      // this needs the frame bodies.
+      // A chain that scans restorable but then fails to load was not read
+      // back whole either: the shadow cannot be trusted.
+      ArchiveReader reader(path_);
+      std::string err;
+      const bool restorable = reader.restorable(resume_epoch);
+      const bool rebuilt =
+          restorable && reader.state_at(resume_epoch, &shadow_, nullptr, &err);
+      if (!rebuilt) shadow_.clear();
+      read_error = reader.scan().read_error || (restorable && !rebuilt);
+      io_ok = !read_error;
+    }
+  } else if (io_ok) {
+    if (fd_ >= 0) ::close(fd_);
     fd_ = durable_file::create(path_, O_RDWR | O_TRUNC);
     const ArchiveHeader h = make_header(block_size, region_size, segment_size);
     io_ok = fd_ >= 0 && durable_file::write_all(fd_, &h, sizeof(h)) &&
@@ -180,7 +181,8 @@ void ArchiveWriter::init_file(uint64_t block_size, uint64_t region_size,
   }
   if (!io_ok) {
     CRPM_LOG_WARN("archive %s: opening failed: %s — archiving disabled",
-                  path_.c_str(), std::strerror(errno));
+                  path_.c_str(),
+                  read_error ? "read error" : std::strerror(errno));
     dead_.store(true, std::memory_order_release);
   }
   if (sopt_.compact_every != 0 && shadow_.empty()) {

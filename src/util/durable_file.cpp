@@ -112,6 +112,23 @@ bool pwritev_all(int fd, std::vector<iovec> iov, uint64_t offset) {
   return true;
 }
 
+bool read_at(int fd, void* buf, size_t len, uint64_t offset) {
+  if (!proceed(Op::kRead)) return false;
+  auto* p = static_cast<uint8_t*>(buf);
+  while (len > 0) {
+    ssize_t n = ::pread(fd, p, len, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = EIO;
+      return false;
+    }
+    p += n;
+    offset += static_cast<uint64_t>(n);
+    len -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
 bool sync(int fd) { return proceed(Op::kSync) && ::fdatasync(fd) == 0; }
 
 bool sync_dir(const std::string& dir) {

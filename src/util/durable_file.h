@@ -14,10 +14,14 @@
 //     place but still reports failure.
 //   * create: a new file's directory entry is made durable by fsyncing the
 //     parent directory; so is each new directory's (make_dirs).
+//   * read-all: read_at retries EINTR and short reads; every archive,
+//     cold-base and replica read goes through it, so the fault hook below
+//     reaches reads too.
 //
-// Nothing else under src/ calls fsync, fdatasync or rename, and nothing on
-// the durable paths creates a directory any other way
-// (tests/check_durable_file.py enforces both).
+// Nothing else under src/ calls fsync, fdatasync or rename, nothing on the
+// durable paths creates a directory any other way, and nothing under
+// src/snapshot, src/repl or src/tier reads a file any other way
+// (tests/check_durable_file.py enforces all three).
 #pragma once
 
 #include <sys/uio.h>
@@ -36,6 +40,10 @@ bool write_all(int fd, const void* buf, size_t len);
 // Writes every byte of `iov` starting at `offset` (any iovec count; the
 // vector is consumed as the write advances).
 bool pwritev_all(int fd, std::vector<iovec> iov, uint64_t offset);
+
+// Reads exactly `len` bytes at `offset`. False (errno set; EIO when the
+// file ends first) on any shortfall.
+bool read_at(int fd, void* buf, size_t len, uint64_t offset);
 
 // fdatasync(fd).
 bool sync(int fd);
@@ -72,11 +80,11 @@ bool atomic_replace(const std::string& path,
                     const std::function<bool(int fd)>& fill,
                     std::string* err = nullptr);
 
-// Test hook: consulted before every write, sync, rename and directory
-// sync this module performs. Returning a non-zero errno makes that op
-// fail with it (the op is not performed); 0 lets it run. Process-wide.
-// Never set outside tests.
-enum class Op { kWrite, kSync, kRename, kSyncDir };
+// Test hook: consulted before every write, read, sync, rename and
+// directory sync this module performs. Returning a non-zero errno makes
+// that op fail with it (the op is not performed); 0 lets it run.
+// Process-wide. Never set outside tests.
+enum class Op { kWrite, kSync, kRename, kSyncDir, kRead };
 using FaultHook = std::function<int(Op op)>;
 void set_fault_hook(FaultHook hook);
 

@@ -12,6 +12,11 @@ durable paths (src/tier, src/repl, src/snapshot, src/apps) creates a
 directory with mkdir, create_directory or create_directories instead of
 durable_file::make_dirs, which also syncs the new entry's parent.
 
+Every archive, cold-base and replica read goes through
+durable_file::read_at, so its fault hook reaches reads too: a code line
+under src/snapshot, src/repl or src/tier fails when it calls pread,
+preadv or read directly.
+
 Likewise src/snapshot/format.{h,cpp} is the one place that builds and
 checks archive frames (DESIGN.md section 5). A code line anywhere else
 under src/ fails when it names FrameFooter or CodedExtent, or takes
@@ -29,6 +34,9 @@ from pathlib import Path
 CALL = re.compile(r"\b(fsync|fdatasync|rename)\s*\(")
 MKDIR = re.compile(r"\b(mkdir|create_directory|create_directories)\s*\(")
 DURABLE_DIRS = ("tier", "repl", "snapshot", "apps")
+# A raw read: not a member (.read, ->read) nor a qualified name (X::read).
+READ = re.compile(r"(?<![\w.>:])(?:::)?(pread|preadv|read)\s*\(")
+READ_DIRS = ("tier", "repl", "snapshot")
 SOURCES = (".c", ".cc", ".cpp", ".h", ".hpp")
 ALLOWED = Path("src") / "util" / "durable_file.cpp"
 LAYOUT = re.compile(
@@ -66,10 +74,12 @@ def code_only(text):
     return "".join(out)
 
 
-def offending_calls(text, durable_path=False):
+def offending_calls(text, durable_path=False, read_path=False):
     """(line number, name) of every fsync/fdatasync/rename call in code,
-    and of every directory creation when `durable_path` is set."""
-    patterns = (CALL, MKDIR) if durable_path else (CALL,)
+    of every directory creation when `durable_path` is set, and of every
+    raw file read when `read_path` is set."""
+    patterns = (CALL,) + ((MKDIR,) if durable_path else ()) + \
+        ((READ,) if read_path else ())
     calls = []
     for lineno, line in enumerate(code_only(text).split("\n"), 1):
         for pattern in patterns:
@@ -112,6 +122,18 @@ def self_test():
     if offending_calls(planted_dirs):
         sys.exit("check_durable_file: self-test failed: directory creation "
                  "flagged off the durable paths")
+    planted_reads = (
+        "std::thread t([] { work(); }); in.read(buf, n); p->read(q);\n"
+        "ssize_t n = ::pread(fd, buf, len, off);  // read(fd) in a comment\n"
+        "durable_file::read_at(fd, b, n, 0); Reader::read(x); pread_all(f);\n"
+    )
+    want = [(2, "pread")]
+    got = offending_calls(planted_reads, read_path=True)
+    if got != want:
+        sys.exit(f"check_durable_file: self-test failed: {got} != {want}")
+    if offending_calls(planted_reads):
+        sys.exit("check_durable_file: self-test failed: a raw read flagged "
+                 "off the archive paths")
     planted_layout = (
         "snapshot::FrameHeader fh;  // its CodedExtent, in a comment\n"
         "const char* s = \"FrameFooter\"; crc32(&m, offsetof(Msg, crc));\n"
@@ -137,7 +159,8 @@ def main():
             continue
         text = path.read_text(encoding="utf-8", errors="replace")
         durable_path = rel.parts[1] in DURABLE_DIRS
-        for lineno, name in offending_calls(text, durable_path):
+        read_path = rel.parts[1] in READ_DIRS
+        for lineno, name in offending_calls(text, durable_path, read_path):
             bad.append(f"{rel}:{lineno}: calls {name}(); use "
                        f"util/durable_file instead")
         if rel not in LAYOUT_OWNERS:

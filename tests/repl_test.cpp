@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -333,20 +334,78 @@ TEST(ReplicaStoreTest, AdoptsFilesAcrossRestart) {
   std::filesystem::remove_all(dir);
 }
 
-// Makes the first `op` after arming fail with EIO; disarms on destruction.
-class FailFirst {
+// Makes the `nth` `op` after arming (counting from 0) fail with EIO;
+// disarms on destruction.
+class FailNth {
  public:
-  explicit FailFirst(Op op) {
-    durable_file::set_fault_hook([this, op](Op o) {
-      return o == op && !fired_.exchange(true) ? EIO : 0;
+  explicit FailNth(Op op, uint64_t nth = 0) {
+    durable_file::set_fault_hook([this, op, nth](Op o) {
+      return o == op && seen_++ == nth && !fired_.exchange(true) ? EIO : 0;
     });
   }
-  ~FailFirst() { durable_file::set_fault_hook({}); }
+  ~FailNth() { durable_file::set_fault_hook({}); }
   bool fired() const { return fired_.load(); }
 
  private:
+  std::atomic<uint64_t> seen_{0};
   std::atomic<bool> fired_{false};
 };
+
+// A file's size and CRC32.
+std::pair<uint64_t, uint32_t> file_sig(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::vector<uint8_t> bytes;
+  for (int ch; f != nullptr && (ch = std::fgetc(f)) != EOF;) {
+    bytes.push_back(static_cast<uint8_t>(ch));
+  }
+  if (f != nullptr) std::fclose(f);
+  return {bytes.size(), crc32(bytes.data(), bytes.size())};
+}
+
+// A read that fails while a store reopens its peer files is not a torn
+// tail: the frames behind it were acked. The store refuses that peer
+// without truncating or re-creating its file, and once reads work again
+// every epoch restores.
+TEST(ReplicaStoreTest, ReadErrorOnReopenRefusesThePeerAndKeepsTheFile) {
+  const std::string dir = temp_dir("crpm_replstore_readerr");
+  {
+    ReplicaStore store(dir);
+    for (uint64_t e = 1; e <= 3; ++e) {
+      auto f = make_frame(snapshot::kDeltaFrame, e, {e}, uint8_t(0x10 * e));
+      ASSERT_EQ(store.append(0, e, kBlk, 1 << 20, 4096, f.data(), f.size(),
+                             true),
+                AppendVerdict::kStored);
+    }
+  }
+  const std::string path = ReplicaStore::peer_path(dir, 0);
+  const auto before = file_sig(path);
+  uint64_t k = 0;
+  for (;; ++k) {
+    SCOPED_TRACE("failing read " + std::to_string(k));
+    FailNth fault(Op::kRead, k);
+    ReplicaStore store(dir);
+    if (!fault.fired()) {
+      EXPECT_EQ(store.newest_epoch(0), 3u);
+      break;
+    }
+    EXPECT_TRUE(store.peers().empty());
+    EXPECT_EQ(store.newest_epoch(0), 0u);
+    EXPECT_EQ(file_sig(path), before);
+  }
+  EXPECT_GE(k, 7u) << "the header, three heads and three bodies are read";
+
+  ReplicaStore reopened(dir);
+  EXPECT_EQ(reopened.newest_epoch(0), 3u);
+  snapshot::ArchiveReader reader(path);
+  for (uint64_t e = 1; e <= 3; ++e) {
+    std::vector<uint8_t> image;
+    std::array<uint64_t, kNumRoots> roots{};
+    std::string err;
+    ASSERT_TRUE(reader.state_at(e, &image, &roots, &err)) << err;
+    EXPECT_EQ(image[e * kBlk], uint8_t(0x10 * e)) << "epoch " << e;
+  }
+  std::filesystem::remove_all(dir);
+}
 
 TEST(ReplicaStoreTest, FailedWriteOrSyncIsNeverStored) {
   const std::string dir = temp_dir("crpm_replstore_ioerr");
@@ -360,7 +419,7 @@ TEST(ReplicaStoreTest, FailedWriteOrSyncIsNeverStored) {
 
   for (Op failing : {Op::kWrite, Op::kSync}) {
     {
-      FailFirst fault(failing);
+      FailNth fault(failing);
       EXPECT_EQ(store.append(0, 2, kBlk, 1 << 20, 4096, f2.data(),
                              f2.size(), true),
                 AppendVerdict::kError);
@@ -542,7 +601,7 @@ TEST(ReplNodeTest, FailedPullLeavesNoFile) {
   std::string err;
   for (Op failing : {Op::kWrite, Op::kSync, Op::kRename}) {
     {
-      FailFirst fault(failing);
+      FailNth fault(failing);
       EXPECT_FALSE(puller.pull(1, 0, 2, dest, &err));
       EXPECT_TRUE(fault.fired());
     }

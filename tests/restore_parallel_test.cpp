@@ -1,11 +1,11 @@
-// Property test for the parallel restore paths: across randomized
-// epoch/segment geometries, plain and lzb-coded chains, the parallel chain
-// loader and record apply must reproduce the serial ones byte for byte —
-// which in turn must reproduce the recorded golden state — for every
-// restorable epoch, at every worker count, on the blocking and the lazy
-// path, and through the corrupt-frame fallbacks. The worker pool only
-// reorders the loads and the apply; any divergence is a sharding,
-// stealing or claiming bug.
+// Property test for the restore pipeline: across randomized epoch/segment
+// geometries, plain and lzb-coded chains, long chains of tiny frames and
+// chains whose decoded bytes span several blocking windows, the blocking
+// restore at every worker count and the lazy restore must return one
+// verdict — the same epoch, image, roots, warnings and error — which in
+// turn must reproduce the recorded golden state, also through the
+// corrupt-frame and cold-tier fallbacks. The worker pool only reorders the
+// loads and the chunk apply; any divergence is a planning or claiming bug.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -23,6 +23,8 @@
 #include "snapshot/restore.h"
 #include "snapshot/writer.h"
 #include "tier/codec.h"
+#include "tier/cold.h"
+#include "util/durable_file.h"
 #include "util/rng.h"
 
 namespace crpm {
@@ -34,6 +36,7 @@ struct Geometry {
   uint64_t region = 0;
   uint64_t epochs = 0;
   uint64_t seed = 0;
+  bool tiny = false;  // each epoch dirties 1-2 blocks instead of byte runs
 };
 
 CrpmOptions opts_for(const Geometry& g) {
@@ -90,7 +93,16 @@ std::vector<EpochRecord> build_archive(const Geometry& g,
   Xoshiro256 rng(g.seed);
   std::vector<EpochRecord> recs;
   for (uint64_t e = 1; e <= g.epochs; ++e) {
-    const int runs = 2 + static_cast<int>(rng.next_below(6));
+    const uint64_t tiny_blocks = g.tiny ? 1 + rng.next_below(2) : 0;
+    for (uint64_t b = 0; b < tiny_blocks; ++b) {
+      const uint64_t off =
+          rng.next_below(g.region / g.block_size) * g.block_size;
+      c->annotate(c->data() + off, g.block_size);
+      for (uint64_t i = 0; i < g.block_size; ++i) {
+        c->data()[off + i] = static_cast<uint8_t>(rng.next() | 1);
+      }
+    }
+    const int runs = g.tiny ? 0 : 2 + static_cast<int>(rng.next_below(6));
     for (int r = 0; r < runs; ++r) {
       uint64_t len = 1 + rng.next_below(2 * g.segment_size);
       if (len > g.region) len = g.region;
@@ -128,19 +140,36 @@ int thread_count() {
   return n;
 }
 
-// What one restore of epoch `e` produced: blocking_outcome runs
-// read_state, lazy_outcome restore_lazy and then materialize_all.
+// What one restore of epoch `e` produced: blocking_outcome runs restore()
+// onto a fresh device, lazy_outcome restore_lazy and then materialize_all.
 struct Outcome {
   bool ok = false;
   std::string error;
+  uint64_t epoch = 0;
+  std::vector<std::string> warnings;
   std::vector<uint8_t> image;
   std::array<uint64_t, kNumRoots> roots{};
 };
 
-Outcome blocking_outcome(const std::string& path, uint64_t e,
+Outcome blocking_outcome(const std::string& path, uint64_t e, CrpmOptions opt,
                          uint32_t workers) {
+  opt.restore_workers = workers;
+  auto r = snapshot::restore(
+      path, e,
+      std::make_unique<HeapNvmDevice>(Container::required_device_size(opt)),
+      opt);
   Outcome o;
-  o.ok = snapshot::read_state(path, e, &o.image, &o.roots, &o.error, workers);
+  o.ok = r.container != nullptr;
+  o.error = r.error;
+  o.warnings = r.warnings;
+  if (o.ok) {
+    o.epoch = r.epoch;
+    o.image.assign(r.container->data(),
+                   r.container->data() + r.container->capacity());
+    for (uint32_t s = 0; s < kNumRoots; ++s) {
+      o.roots[s] = r.container->get_root(s);
+    }
+  }
   return o;
 }
 
@@ -151,29 +180,80 @@ Outcome lazy_outcome(const std::string& path, uint64_t e, CrpmOptions opt,
   Outcome o;
   o.ok = lz->ok();
   o.error = lz->error();
+  o.warnings = lz->warnings();
   if (o.ok) {
     lz->materialize_all(workers);
+    o.epoch = lz->epoch();
     o.image.assign(lz->data(), lz->data() + lz->size());
     o.roots = lz->roots();
   }
   return o;
 }
 
-// Same verdict, same error, and on success the same image and roots.
+// Same verdict, same error and warnings, and on success the same epoch,
+// image and roots.
 void expect_same(const Outcome& got, const Outcome& want, const char* what) {
   EXPECT_EQ(got.ok, want.ok) << what << ": " << got.error;
   EXPECT_EQ(got.error, want.error) << what;
+  EXPECT_EQ(got.warnings, want.warnings) << what;
   if (!got.ok || !want.ok) return;
+  EXPECT_EQ(got.epoch, want.epoch) << what;
   EXPECT_EQ(got.image, want.image) << what;
   EXPECT_EQ(got.roots, want.roots) << what;
+}
+
+// The one verdict: `serial` (the 1-worker blocking restore) against the
+// blocking restore at 2, 4 and 8 workers and the lazy one at 1 and 4.
+void expect_one_verdict(const std::string& path, uint64_t e,
+                        const CrpmOptions& opt, const Outcome& serial) {
+  for (uint32_t workers : {2u, 4u, 8u}) {
+    expect_same(blocking_outcome(path, e, opt, workers), serial,
+                ("blocking x" + std::to_string(workers)).c_str());
+  }
+  expect_same(lazy_outcome(path, e, opt, 0), serial, "lazy x1");
+  expect_same(lazy_outcome(path, e, opt, 4), serial, "lazy x4");
+}
+
+// Decoded bytes of the chain that restores `e` (no compaction: every
+// chain starts at epoch 1).
+uint64_t chain_raw_bytes(const std::string& path, uint64_t e) {
+  snapshot::ArchiveReader reader(path);
+  uint64_t bytes = 0;
+  for (const auto& f : reader.scan().epochs) {
+    if (f.epoch <= e) bytes += f.raw_bytes;
+  }
+  return bytes;
 }
 
 TEST(RestoreParallel, MatchesSerialAndGoldenAcrossRandomGeometries) {
   Xoshiro256 meta_rng(20260808);
   Xoshiro256 coded_rng(20261019);
+  std::vector<std::pair<Geometry, bool>> inputs;  // (geometry, coded)
   for (int trial = 0; trial < 12; ++trial) {
     const bool coded = trial >= 6;
-    const Geometry g = draw_geometry(coded ? coded_rng : meta_rng);
+    inputs.push_back({draw_geometry(coded ? coded_rng : meta_rng), coded});
+  }
+  // A long chain of tiny frames: 2,000 frames of 1-2 blocks each.
+  Geometry tiny;
+  tiny.segment_size = 1024;
+  tiny.block_size = 64;
+  tiny.region = 16 * 1024;
+  tiny.epochs = 2000;
+  tiny.seed = 2000;
+  tiny.tiny = true;
+  inputs.push_back({tiny, false});
+  // A chain whose decoded bytes exceed the region: the blocking restore
+  // crosses at least two windows.
+  Geometry wide;
+  wide.segment_size = 4096;
+  wide.block_size = 128;
+  wide.region = 16 * 1024;
+  wide.epochs = 6;
+  wide.seed = 31;
+  inputs.push_back({wide, false});
+
+  for (size_t trial = 0; trial < inputs.size(); ++trial) {
+    const auto& [g, coded] = inputs[trial];
     SCOPED_TRACE("segment=" + std::to_string(g.segment_size) +
                  " block=" + std::to_string(g.block_size) +
                  " region=" + std::to_string(g.region) +
@@ -182,6 +262,7 @@ TEST(RestoreParallel, MatchesSerialAndGoldenAcrossRandomGeometries) {
                  (coded ? " lzb" : " plain"));
     const std::string path = temp_archive("prop" + std::to_string(trial));
     const std::vector<EpochRecord> recs = build_archive(g, path, coded);
+    const CrpmOptions opt = opts_for(g);
     if (coded) {
       snapshot::ArchiveReader reader(path);
       ASSERT_TRUE(reader.ok());
@@ -189,39 +270,52 @@ TEST(RestoreParallel, MatchesSerialAndGoldenAcrossRandomGeometries) {
       for (const auto& f : reader.scan().epochs) coded_frames += f.codec != 0;
       ASSERT_GT(coded_frames, 0u) << "the workload must produce coded frames";
     }
+    if (g.tiny) {
+      snapshot::ArchiveReader reader(path);
+      ASSERT_EQ(reader.scan().epochs.size(), 2000u);
+    }
+    if (trial + 1 == inputs.size()) {
+      ASSERT_GT(chain_raw_bytes(path, g.epochs), 2 * g.region)
+          << "the chain must span at least two blocking windows";
+    }
 
+    // Every epoch of the short chains; a sample of the long one.
+    std::vector<uint64_t> epochs;
     for (uint64_t e = 1; e <= g.epochs; ++e) {
-      std::vector<uint8_t> serial_image;
-      std::array<uint64_t, kNumRoots> serial_roots{};
-      std::string err;
-      ASSERT_TRUE(snapshot::read_state(path, e, &serial_image, &serial_roots,
-                                       &err))
-          << "epoch " << e << ": " << err;
-      ASSERT_EQ(serial_image, recs[e - 1].image) << "serial diverges from "
-                                                    "golden at epoch "
-                                                 << e;
-      ASSERT_EQ(serial_roots, recs[e - 1].roots);
+      if (!g.tiny || e == 1 || e == 999 || e == g.epochs) epochs.push_back(e);
+    }
+    for (uint64_t e : epochs) {
+      SCOPED_TRACE("epoch " + std::to_string(e));
+      const Outcome serial = blocking_outcome(path, e, opt, 1);
+      ASSERT_TRUE(serial.ok) << serial.error;
+      ASSERT_EQ(serial.epoch, e);
+      ASSERT_EQ(serial.image, recs[e - 1].image) << "serial diverges from "
+                                                    "golden";
+      ASSERT_EQ(serial.roots, recs[e - 1].roots);
+      expect_one_verdict(path, e, opt, serial);
 
-      for (uint32_t workers : {2u, 3u, 8u}) {
-        std::vector<uint8_t> par_image;
-        std::array<uint64_t, kNumRoots> par_roots{};
+      for (uint32_t workers : {1u, 2u, 3u, 8u}) {
+        std::vector<uint8_t> image;
+        std::array<uint64_t, kNumRoots> roots{};
+        std::string err;
         snapshot::RestorePerf perf;
-        ASSERT_TRUE(snapshot::read_state(path, e, &par_image, &par_roots,
-                                         &err, workers, &perf))
-            << "epoch " << e << " workers " << workers << ": " << err;
-        EXPECT_EQ(par_image, serial_image)
-            << "parallel apply diverged at epoch " << e << " with "
-            << workers << " workers";
-        EXPECT_EQ(par_roots, serial_roots);
+        ASSERT_TRUE(snapshot::read_state(path, e, &image, &roots, &err,
+                                         workers, &perf))
+            << "workers " << workers << ": " << err;
+        EXPECT_EQ(image, serial.image) << "read_state x" << workers;
+        EXPECT_EQ(roots, serial.roots);
         EXPECT_EQ(perf.workers, workers);
+        EXPECT_EQ(perf.frames, e);
         EXPECT_GT(perf.records, 0u);
         EXPECT_GE(perf.apply_ns_total, perf.apply_ns_critical)
             << "the critical path cannot exceed the summed thread CPU";
       }
-      const Outcome serial{true, {}, serial_image, serial_roots};
-      expect_same(lazy_outcome(path, e, opts_for(g), 0), serial, "lazy x1");
-      expect_same(lazy_outcome(path, e, opts_for(g), 4), serial, "lazy x4");
     }
+    const Outcome latest =
+        blocking_outcome(path, Container::kLatestEpoch, opt, 1);
+    ASSERT_TRUE(latest.ok) << latest.error;
+    EXPECT_EQ(latest.epoch, g.epochs);
+    expect_one_verdict(path, Container::kLatestEpoch, opt, latest);
     std::filesystem::remove(path);
   }
 }
@@ -309,13 +403,17 @@ TEST(RestoreParallel, CorruptFrameFallbackMatchesSerial) {
   EXPECT_EQ(std::memcmp(par.container->data(), want.image.data(),
                         want.image.size()),
             0);
+  expect_one_verdict(
+      path, Container::kLatestEpoch, opts_for(g),
+      blocking_outcome(path, Container::kLatestEpoch, opts_for(g), 1));
   std::filesystem::remove(path);
 }
 
 // A coded frame whose extent carries a wrong raw CRC, with the extent CRC
 // recomputed: the scan (encoded CRC only) passes it, so only the decode
 // check can catch it. Every chain through it must fail on both paths,
-// in parallel exactly as serially, and leave no worker running.
+// in parallel exactly as serially, and leave no worker running — unless a
+// cold base can serve, which both paths then do alike.
 TEST(RestoreParallel, WrongRawCrcFailsOnlyAtDecodeOnBothPaths) {
   Geometry g;
   g.segment_size = 1024;
@@ -362,10 +460,11 @@ TEST(RestoreParallel, WrongRawCrcFailsOnlyAtDecodeOnBothPaths) {
     EXPECT_EQ(latest, g.epochs);
   }
 
+  const CrpmOptions opt = opts_for(g);
   const int threads_before = thread_count();
   for (uint64_t e = 1; e <= g.epochs; ++e) {
     SCOPED_TRACE("epoch " + std::to_string(e));
-    const Outcome serial = blocking_outcome(path, e, 1);
+    const Outcome serial = blocking_outcome(path, e, opt, 1);
     if (e < bad_epoch) {
       ASSERT_TRUE(serial.ok) << serial.error;
       EXPECT_EQ(serial.image, recs[e - 1].image);
@@ -375,20 +474,46 @@ TEST(RestoreParallel, WrongRawCrcFailsOnlyAtDecodeOnBothPaths) {
                 std::string::npos)
           << serial.error;
     }
-    for (uint32_t workers : {2u, 4u, 8u}) {
-      expect_same(blocking_outcome(path, e, workers), serial, "blocking");
-    }
-    expect_same(lazy_outcome(path, e, opts_for(g), 0), serial, "lazy x1");
-    expect_same(lazy_outcome(path, e, opts_for(g), 4), serial, "lazy x4");
+    expect_one_verdict(path, e, opt, serial);
   }
   // Latest: no cold tier to fall back to, so every path fails alike.
-  const Outcome latest = blocking_outcome(path, Container::kLatestEpoch, 1);
+  const Outcome latest =
+      blocking_outcome(path, Container::kLatestEpoch, opt, 1);
   EXPECT_FALSE(latest.ok);
-  expect_same(blocking_outcome(path, Container::kLatestEpoch, 4), latest,
-              "blocking latest x4");
-  expect_same(lazy_outcome(path, Container::kLatestEpoch, opts_for(g), 4),
-              latest, "lazy latest x4");
+  expect_one_verdict(path, Container::kLatestEpoch, opt, latest);
+
+  // With a cold base present, the hot chain's failed load falls back to
+  // it on both paths, with the same epoch, image, roots and warnings.
+  const uint64_t cold_epoch = bad_epoch - 1;
+  {
+    std::vector<uint64_t> blocks;
+    std::vector<uint8_t> payload;
+    std::vector<uint8_t> frame;
+    snapshot::gather_base(recs[cold_epoch - 1].image.data(), g.region,
+                          g.block_size, &blocks, &payload);
+    snapshot::serialize_frame(snapshot::kBaseFrame, cold_epoch,
+                              recs[cold_epoch - 1].roots, blocks,
+                              payload.data(), g.block_size, &frame);
+    const snapshot::ArchiveHeader h =
+        snapshot::make_header(g.block_size, g.region, g.segment_size);
+    tier::ColdTier cold(tier::ColdTier::dir_for(path));
+    std::string err;
+    ASSERT_TRUE(cold.store(cold_epoch, &h, sizeof(h), frame.data(),
+                           frame.size(), durable_file::write_all, &err))
+        << err;
+  }
+  const Outcome cold =
+      blocking_outcome(path, Container::kLatestEpoch, opt, 1);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_EQ(cold.epoch, cold_epoch);
+  EXPECT_EQ(cold.image, recs[cold_epoch - 1].image);
+  EXPECT_EQ(cold.roots, recs[cold_epoch - 1].roots);
+  EXPECT_EQ(cold.warnings,
+            std::vector<std::string>{"epoch " + std::to_string(cold_epoch) +
+                                     " served from the cold tier"});
+  expect_one_verdict(path, Container::kLatestEpoch, opt, cold);
   EXPECT_EQ(thread_count(), threads_before) << "a restore worker outlived it";
+  std::filesystem::remove_all(tier::ColdTier::dir_for(path));
   std::filesystem::remove(path);
 }
 

@@ -2,12 +2,15 @@
 // read path recovers the newest intact epoch from the truncated tail; kill
 // it mid-compaction and verify the delta chain survives the failed fold;
 // verify a re-attached writer reconciles frames the container never
-// committed (pre-commit staging) by truncating them; and verify a failed
-// sync of that truncate fails the writer instead of appending after it.
+// committed (pre-commit staging) by truncating them; verify a failed
+// sync of that truncate fails the writer instead of appending after it;
+// and verify a failed read while attaching fails the writer without
+// touching the file.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -262,6 +265,77 @@ TEST(SnapshotCrashTest, FailedReattachSyncFailsTheWriter) {
   uint64_t latest = 0;
   ASSERT_TRUE(reader.latest_restorable(&latest));
   EXPECT_EQ(latest, 2u);
+  std::filesystem::remove(path);
+}
+
+// A file's size and CRC32.
+std::pair<uint64_t, uint32_t> file_sig(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::vector<uint8_t> bytes;
+  for (int ch; f != nullptr && (ch = std::fgetc(f)) != EOF;) {
+    bytes.push_back(static_cast<uint8_t>(ch));
+  }
+  if (f != nullptr) std::fclose(f);
+  return {bytes.size(), crc32(bytes.data(), bytes.size())};
+}
+
+TEST(SnapshotCrashTest, ReadErrorOnAttachFailsTheWriterAndKeepsTheFile) {
+  // A read that fails while attaching is not a torn tail: the frames
+  // behind it were archived, and may have been acked. For every read the
+  // attach makes (the head walk, and with compaction on the shadow
+  // rebuild), an EIO there must fail the writer without truncating or
+  // re-creating the file, and once reads work again every epoch restores.
+  const CrpmOptions opt = small_opts();
+  const std::string path = temp_archive("readerr");
+  HeapNvmDevice dev(Container::required_device_size(opt));
+  Xoshiro256 rng(113);
+  auto c = Container::open(&dev, opt);
+  snapshot::SnapshotOptions so;
+  so.compact_every = 64;  // no fold here, but attach rebuilds the shadow
+  std::vector<std::vector<uint8_t>> images;
+  {
+    snapshot::ArchiveWriter w(path, so);
+    w.attach(*c);
+    for (uint64_t e = 1; e <= 4; ++e) images.push_back(run_epoch(*c, rng, e));
+    w.drain();
+    c->set_epoch_sink(nullptr);
+    ASSERT_FALSE(w.failed());
+  }
+  const auto before = file_sig(path);
+
+  uint64_t k = 0;
+  for (;; ++k) {
+    SCOPED_TRACE("failing read " + std::to_string(k));
+    std::atomic<uint64_t> reads{0};
+    std::atomic<bool> fired{false};
+    durable_file::set_fault_hook([&](durable_file::Op op) {
+      if (op != durable_file::Op::kRead || reads++ != k) return 0;
+      fired = true;
+      return EIO;
+    });
+    bool failed = false;
+    {
+      snapshot::ArchiveWriter w(path, so);
+      w.attach(*c);
+      durable_file::set_fault_hook({});
+      failed = w.failed();
+      c->set_epoch_sink(nullptr);
+    }
+    if (!fired) {
+      EXPECT_FALSE(failed);
+      break;
+    }
+    EXPECT_TRUE(failed);
+    EXPECT_EQ(file_sig(path), before);
+  }
+  EXPECT_GE(k, 5u) << "the header and four heads are read at least";
+
+  for (uint64_t e = 1; e <= 4; ++e) {
+    std::vector<uint8_t> image;
+    std::string err;
+    ASSERT_TRUE(snapshot::read_state(path, e, &image, nullptr, &err)) << err;
+    EXPECT_EQ(image, images[e - 1]) << "epoch " << e;
+  }
   std::filesystem::remove(path);
 }
 
